@@ -8,8 +8,8 @@
  *
  *  - **No false positives.**  A clean end-to-end build must verify with
  *    zero diagnostics (errors, warnings *and* notes) at 1 and at 8
- *    codegen threads, and the verification twin's text must be
- *    byte-identical to the shipped PO binary.
+ *    codegen threads, and the verified image's text (the Phase 4 link
+ *    with its address maps) must be byte-identical to the shipped PO.
  *
  *  - **No false negatives.**  Every seeded defect class (src/analysis
  *    mutate.h: corrupted branches, addr-map skews, dropped unwind

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -38,17 +39,49 @@ struct RangeInfo
     bool decoded = false; ///< Fully disassembled (hand-asm never is).
 };
 
+/** A sized address-map block, indexed by start address. */
+struct BlockStart
+{
+    uint64_t address = 0;
+    uint32_t map = 0; ///< Index into Executable::bbAddrMap.
+    uint32_t bbId = 0;
+};
+
+/** Instruction order within one decoded range (strictly by address). */
+bool
+instBefore(const bolt::BoltInst &bi, uint64_t addr)
+{
+    return bi.addr < addr;
+}
+
 /** Shared state of one verifyExecutable pass. */
 struct ExeVerifier
 {
+    ExeVerifier(const Executable &e, const VerifyOptions &o,
+                VerifyReport &r)
+        : exe(e), opts(o), report(r)
+    {
+    }
+
     const Executable &exe;
     const VerifyOptions &opts;
     VerifyReport &report;
 
     std::vector<RangeInfo> ranges; ///< Sorted by start address.
-    std::unordered_set<uint64_t> boundaries; ///< Decoded inst addresses.
+    /** starts[i]: ranges[i]'s start, contiguous for binary search. */
+    std::vector<uint64_t> starts;
+    /** reach[i]: the largest end among decodable ranges[0..i]. */
+    std::vector<uint64_t> reach;
     std::unordered_map<uint64_t, const FuncRange *> primaryStarts;
     std::unordered_map<std::string, const FuncRange *> rangeByName;
+    /** Function -> its valid ranges, in address order. */
+    std::unordered_map<std::string, std::vector<const RangeInfo *>>
+        fnRanges;
+    /**
+     * Every sized addr-map block, by address; among blocks sharing an
+     * address the first in map order sorts first.
+     */
+    std::vector<BlockStart> blockStarts;
 
     void
     diag(CheckId id, Severity sev, const std::string &fn, uint64_t addr,
@@ -57,27 +90,55 @@ struct ExeVerifier
         report.engine.report(id, sev, fn, addr, std::move(msg));
     }
 
+    /** Number of ranges starting at or before @p addr. */
+    size_t
+    rangesUpTo(uint64_t addr) const
+    {
+        return static_cast<size_t>(
+            std::upper_bound(starts.begin(), starts.end(), addr) -
+            starts.begin());
+    }
+
     /** Range whose [start, end) contains @p addr; nullptr if none. */
     const RangeInfo *
     ownerOf(uint64_t addr) const
     {
-        auto it = std::upper_bound(
-            ranges.begin(), ranges.end(), addr,
-            [](uint64_t a, const RangeInfo &r) { return a < r.sym->start; });
-        if (it == ranges.begin())
+        size_t n = rangesUpTo(addr);
+        if (n == 0)
             return nullptr;
-        --it;
-        if (!it->valid || addr >= it->sym->end)
+        const RangeInfo &r = ranges[n - 1];
+        if (!r.valid || addr >= r.sym->end)
             return nullptr;
-        return &*it;
+        return &r;
+    }
+
+    /**
+     * Whether some decoded instruction starts at @p addr.  Only ranges
+     * containing @p addr can hold one: walk back from the last range
+     * starting at or before it while an earlier range still reaches
+     * past it (damaged images can overlap), binary-searching each
+     * range's address-sorted instructions.
+     */
+    bool
+    isBoundary(uint64_t addr) const
+    {
+        for (size_t i = rangesUpTo(addr); i-- > 0 && reach[i] > addr;) {
+            const std::vector<bolt::BoltInst> &insts = ranges[i].dis.insts;
+            auto bi = std::lower_bound(insts.begin(), insts.end(), addr,
+                                       instBefore);
+            if (bi != insts.end() && bi->addr == addr)
+                return true;
+        }
+        return false;
     }
 
     void checkSymbols();
     void checkEntry();
+    void indexAddrMap();
     void decodeRange(RangeInfo &info, VerifyReport &rep);
-    void indexBoundaries();
-    void checkControlFlowRange(const RangeInfo &info, VerifyReport &rep);
-    void checkAddrMap();
+    void checkControlFlowRange(const RangeInfo &info,
+                               VerifyReport &rep) const;
+    void checkAddrMap(size_t m, VerifyReport &rep) const;
     void checkEhFrame();
     void checkIntegrity();
     void checkSymbolOrder();
@@ -94,10 +155,13 @@ ExeVerifier::checkSymbols()
                   return a.sym->start < b.sym->start;
               });
 
-    std::unordered_set<std::string> functions;
+    starts.reserve(ranges.size());
+    reach.reserve(ranges.size());
     for (auto &info : ranges) {
         const FuncRange &sym = *info.sym;
-        functions.insert(sym.parentFunction);
+        starts.push_back(sym.start);
+        std::vector<const RangeInfo *> &fn_rs =
+            fnRanges[sym.parentFunction];
         rangeByName.emplace(sym.name, &sym);
         if (sym.isPrimary)
             primaryStarts.emplace(sym.start, &sym);
@@ -110,9 +174,15 @@ ExeVerifier::checkSymbols()
                      ", " + hex(sym.end) + ") is empty or outside the " +
                      "text image [" + hex(exe.textBase) + ", " +
                      hex(exe.textEnd()) + ")");
+        } else {
+            fn_rs.push_back(&info);
         }
+        uint64_t prev_reach = reach.empty() ? 0 : reach.back();
+        reach.push_back(info.valid && !sym.isHandAsm
+                            ? std::max(prev_reach, sym.end)
+                            : prev_reach);
     }
-    report.functionsChecked = static_cast<uint32_t>(functions.size());
+    report.functionsChecked = static_cast<uint32_t>(fnRanges.size());
 
     const RangeInfo *prev = nullptr;
     for (const auto &info : ranges) {
@@ -147,8 +217,7 @@ void
 ExeVerifier::decodeRange(RangeInfo &info, VerifyReport &rep)
 {
     // Writes only to this range's slot and @p rep: safe to run
-    // concurrently across distinct ranges.  The shared boundary index
-    // is built afterwards by indexBoundaries().
+    // concurrently across distinct ranges.
     if (!info.valid)
         return;
     if (info.sym->isHandAsm) {
@@ -173,20 +242,12 @@ ExeVerifier::decodeRange(RangeInfo &info, VerifyReport &rep)
 }
 
 void
-ExeVerifier::indexBoundaries()
-{
-    for (const auto &info : ranges)
-        for (const auto &bi : info.dis.insts)
-            boundaries.insert(bi.addr);
-}
-
-void
 ExeVerifier::checkControlFlowRange(const RangeInfo &info,
-                                   VerifyReport &rep)
+                                   VerifyReport &rep) const
 {
-    // Reads only shared immutable state (ranges, boundaries,
-    // primaryStarts — all frozen after indexBoundaries); reports into
-    // @p rep.  Safe to run concurrently across distinct ranges.
+    // Reads only shared state that is frozen once every range is
+    // decoded; reports into @p rep.  Safe to run concurrently across
+    // distinct ranges.
     if (!info.decoded)
         return;
     auto diag = [&](CheckId id, Severity sev, const std::string &fn,
@@ -238,7 +299,7 @@ ExeVerifier::checkControlFlowRange(const RangeInfo &info,
             // produced PV004 and its boundary set is incomplete.
             if (owner->sym->isHandAsm || !owner->decoded)
                 continue;
-            if (!boundaries.count(target)) {
+            if (!isBoundary(target)) {
                 diag(CheckId::PV005, Severity::Error, sym.parentFunction,
                      bi.addr,
                      "branch target " + hex(target) +
@@ -267,190 +328,175 @@ ExeVerifier::checkControlFlowRange(const RangeInfo &info,
     }
 }
 
-/** Run the decomposed passes back to back (the monolithic shape). */
 void
-runSerialRangePasses(ExeVerifier &v)
+ExeVerifier::indexAddrMap()
 {
-    for (auto &info : v.ranges)
-        v.decodeRange(info, v.report);
-    v.indexBoundaries();
-    for (const auto &info : v.ranges)
-        v.checkControlFlowRange(info, v.report);
+    for (size_t m = 0; m < exe.bbAddrMap.size(); ++m) {
+        for (const auto &block : exe.bbAddrMap[m].blocks) {
+            if (block.size > 0)
+                blockStarts.push_back(BlockStart{
+                    block.address, static_cast<uint32_t>(m), block.bbId});
+        }
+    }
+    std::stable_sort(blockStarts.begin(), blockStarts.end(),
+                     [](const BlockStart &a, const BlockStart &b) {
+                         return a.address < b.address;
+                     });
 }
 
 void
-ExeVerifier::checkAddrMap()
+ExeVerifier::checkAddrMap(size_t m, VerifyReport &rep) const
 {
-    // Function name -> its valid ranges, sorted by address.
-    std::unordered_map<std::string, std::vector<const RangeInfo *>>
-        fn_ranges;
-    for (const auto &info : ranges) {
-        if (info.valid)
-            fn_ranges[info.sym->parentFunction].push_back(&info);
-    }
+    // Reads only shared state that is frozen once every range is
+    // decoded; reports into @p rep.  Safe to run concurrently across
+    // distinct maps.
+    const ExecFuncMap &map = exe.bbAddrMap[m];
+    auto diag = [&](CheckId id, uint64_t addr, std::string msg) {
+        rep.engine.report(id, Severity::Error, map.function, addr,
+                          std::move(msg));
+    };
 
-    // Block start address -> (function, bbId), for successor checks.
-    std::unordered_map<uint64_t, std::pair<const ExecFuncMap *, uint32_t>>
-        block_at;
-    for (const auto &map : exe.bbAddrMap) {
-        for (const auto &block : map.blocks) {
-            if (block.size > 0)
-                block_at.emplace(block.address,
-                                 std::make_pair(&map, block.bbId));
+    auto fit = fnRanges.find(map.function);
+    if (fit == fnRanges.end() || fit->second.empty()) {
+        diag(CheckId::PV009, 0,
+             "address map for function without any symbol range");
+        return;
+    }
+    const std::vector<const RangeInfo *> &fn_rs = fit->second;
+
+    // Assign each block to the range containing it; a zero-size block
+    // (everything in it was relaxed away) may sit exactly at its range's
+    // end.
+    std::vector<std::vector<const ExecBlock *>> per_range(fn_rs.size());
+    for (const auto &block : map.blocks) {
+        size_t owner = fn_rs.size();
+        for (size_t k = 0; k < fn_rs.size(); ++k) {
+            const FuncRange &sym = *fn_rs[k]->sym;
+            if (block.address >= sym.start &&
+                (block.address < sym.end ||
+                 (block.size == 0 && block.address == sym.end))) {
+                owner = k;
+                break;
+            }
         }
-    }
-
-    for (const auto &map : exe.bbAddrMap) {
-        auto fit = fn_ranges.find(map.function);
-        if (fit == fn_ranges.end()) {
-            diag(CheckId::PV009, Severity::Error, map.function, 0,
-                 "address map for function without any symbol range");
+        if (owner == fn_rs.size()) {
+            diag(CheckId::PV009, block.address,
+                 "block bb" + std::to_string(block.bbId) + " at " +
+                     hex(block.address) +
+                     " lies outside every range of its function");
             continue;
         }
-        const std::vector<const RangeInfo *> &fn_rs = fit->second;
-
-        // Assign each block to the range containing it; a zero-size
-        // block (everything in it was relaxed away) may sit exactly at
-        // its range's end.
-        std::unordered_map<const RangeInfo *, std::vector<const ExecBlock *>>
-            per_range;
-        for (const auto &block : map.blocks) {
-            const RangeInfo *owner = nullptr;
-            for (const RangeInfo *r : fn_rs) {
-                if (block.address >= r->sym->start &&
-                    (block.address < r->sym->end ||
-                     (block.size == 0 && block.address == r->sym->end))) {
-                    owner = r;
-                    break;
-                }
-            }
-            if (!owner) {
-                diag(CheckId::PV009, Severity::Error, map.function,
-                     block.address,
-                     "block bb" + std::to_string(block.bbId) + " at " +
-                         hex(block.address) +
-                         " lies outside every range of its function");
-                continue;
-            }
-            if (owner->decoded && !boundaries.count(block.address) &&
-                !(block.size == 0 && block.address == owner->sym->end)) {
-                diag(CheckId::PV009, Severity::Error, map.function,
-                     block.address,
-                     "block bb" + std::to_string(block.bbId) + " at " +
-                         hex(block.address) +
-                         " is not at an instruction boundary");
-            }
-            per_range[owner].push_back(&block);
+        const RangeInfo &r = *fn_rs[owner];
+        if (r.decoded &&
+            !(block.size == 0 && block.address == r.sym->end) &&
+            !isBoundary(block.address)) {
+            diag(CheckId::PV009, block.address,
+                 "block bb" + std::to_string(block.bbId) + " at " +
+                     hex(block.address) +
+                     " is not at an instruction boundary");
         }
+        per_range[owner].push_back(&block);
+    }
 
-        // Tiling: within each range the assigned blocks must cover it
-        // exactly, in address order, with no gaps or overlaps.
-        for (const RangeInfo *r : fn_rs) {
-            auto pit = per_range.find(r);
-            if (pit == per_range.end())
-                continue;
-            std::vector<const ExecBlock *> &blocks = pit->second;
-            std::stable_sort(blocks.begin(), blocks.end(),
-                             [](const ExecBlock *a, const ExecBlock *b) {
-                                 return a->address < b->address;
-                             });
-            uint64_t cursor = r->sym->start;
-            for (const ExecBlock *block : blocks) {
-                // A landing-pad section begins with a nop prefix so the
-                // pad lands at a nonzero offset (codegen, paper 4.5):
-                // tolerate a nop-only gap before the range's first block.
-                if (block == blocks.front() && block->address > cursor) {
-                    bool all_nops = true;
-                    for (uint64_t a = cursor; a < block->address; ++a)
-                        all_nops =
-                            all_nops &&
-                            exe.text[a - exe.textBase] ==
-                                static_cast<uint8_t>(isa::Opcode::Nop);
-                    if (all_nops)
-                        cursor = block->address;
-                }
-                if (block->address != cursor) {
-                    diag(CheckId::PV010, Severity::Error, map.function,
-                         block->address,
-                         "block bb" + std::to_string(block->bbId) +
-                             " at " + hex(block->address) +
-                             (block->address > cursor
-                                  ? " leaves a gap from "
-                                  : " overlaps back to ") +
-                             hex(cursor) + " in '" + r->sym->name + "'");
-                }
-                cursor = block->address + block->size;
-            }
-            if (cursor != r->sym->end) {
-                diag(CheckId::PV010, Severity::Error, map.function,
-                     cursor,
-                     "blocks of '" + r->sym->name + "' end at " +
-                         hex(cursor) + ", range ends at " +
-                         hex(r->sym->end));
-            }
-        }
-
-        // Successor cross-check (v2 metadata only): the decoded
-        // terminator of each block must transfer to blocks the compiler
-        // declared as successors.
-        bool has_v2 = map.functionHash != 0;
-        for (const auto &block : map.blocks)
-            has_v2 = has_v2 || block.hash != 0;
-        if (!has_v2)
+    // Tiling: within each range the assigned blocks must cover it
+    // exactly, in address order, with no gaps or overlaps.
+    for (size_t k = 0; k < fn_rs.size(); ++k) {
+        std::vector<const ExecBlock *> &blocks = per_range[k];
+        if (blocks.empty())
             continue;
-        std::unordered_map<uint32_t, uint64_t> addr_of;
-        for (const auto &block : map.blocks)
-            addr_of.emplace(block.bbId, block.address);
-        for (const auto &block : map.blocks) {
-            if (block.size == 0 || block.succs.empty())
-                continue;
-            const RangeInfo *owner = ownerOf(block.address);
-            if (!owner || !owner->decoded)
-                continue;
-            uint64_t block_end = block.address + block.size;
-            // Last instruction starting inside [address, end).
-            const bolt::BoltInst *last = nullptr;
-            for (const auto &bi : owner->dis.insts) {
-                if (bi.addr >= block_end)
-                    break;
-                if (bi.addr >= block.address)
-                    last = &bi;
+        const FuncRange &sym = *fn_rs[k]->sym;
+        std::stable_sort(blocks.begin(), blocks.end(),
+                         [](const ExecBlock *a, const ExecBlock *b) {
+                             return a->address < b->address;
+                         });
+        uint64_t cursor = sym.start;
+        for (const ExecBlock *block : blocks) {
+            // A landing-pad section begins with a nop prefix so the pad
+            // lands at a nonzero offset (codegen, paper 4.5): tolerate a
+            // nop-only gap before the range's first block.
+            if (block == blocks.front() && block->address > cursor) {
+                bool all_nops = true;
+                for (uint64_t a = cursor; a < block->address; ++a)
+                    all_nops = all_nops &&
+                               exe.text[a - exe.textBase] ==
+                                   static_cast<uint8_t>(isa::Opcode::Nop);
+                if (all_nops)
+                    cursor = block->address;
             }
-            if (!last)
-                continue;
+            if (block->address != cursor) {
+                diag(CheckId::PV010, block->address,
+                     "block bb" + std::to_string(block->bbId) + " at " +
+                         hex(block->address) +
+                         (block->address > cursor ? " leaves a gap from "
+                                                  : " overlaps back to ") +
+                         hex(cursor) + " in '" + sym.name + "'");
+            }
+            cursor = block->address + block->size;
+        }
+        if (cursor != sym.end) {
+            diag(CheckId::PV010, cursor,
+                 "blocks of '" + sym.name + "' end at " + hex(cursor) +
+                     ", range ends at " + hex(sym.end));
+        }
+    }
 
-            auto check_edge = [&](uint64_t target, const char *what) {
-                auto bit = block_at.find(target);
-                // Transfers out of this function's blocks are judged by
-                // the control-flow checks, not the successor list.
-                if (bit == block_at.end() || bit->second.first != &map)
+    // Successor cross-check (v2 metadata only): the decoded terminator
+    // of each block must transfer to blocks the compiler declared as
+    // successors.
+    bool has_v2 = map.functionHash != 0;
+    for (const auto &block : map.blocks)
+        has_v2 = has_v2 || block.hash != 0;
+    if (!has_v2)
+        return;
+    std::unordered_map<uint32_t, uint64_t> addr_of;
+    for (const auto &block : map.blocks)
+        addr_of.emplace(block.bbId, block.address);
+    for (const auto &block : map.blocks) {
+        if (block.size == 0 || block.succs.empty())
+            continue;
+        const RangeInfo *owner = ownerOf(block.address);
+        if (!owner || !owner->decoded)
+            continue;
+        // Last instruction starting inside [address, end).
+        const std::vector<bolt::BoltInst> &insts = owner->dis.insts;
+        auto after = std::lower_bound(insts.begin(), insts.end(),
+                                      block.address + block.size,
+                                      instBefore);
+        if (after == insts.begin() ||
+            std::prev(after)->addr < block.address)
+            continue;
+        const bolt::BoltInst &last = *std::prev(after);
+
+        auto check_edge = [&](uint64_t target, const char *what) {
+            // The first sized block at the target, in map order.
+            auto bit = std::lower_bound(
+                blockStarts.begin(), blockStarts.end(), target,
+                [](const BlockStart &b, uint64_t a) {
+                    return b.address < a;
+                });
+            // Transfers out of this function's blocks are judged by the
+            // control-flow checks, not the successor list.
+            if (bit == blockStarts.end() || bit->address != target ||
+                bit->map != m)
+                return;
+            // Match successors by address, not id: a declared successor
+            // relaxed down to zero bytes sits at the same address as the
+            // block physically reached through it.
+            for (uint32_t s : block.succs)
+                if (addr_of.count(s) && addr_of.at(s) == target)
                     return;
-                // Match successors by address, not id: a declared
-                // successor relaxed down to zero bytes sits at the same
-                // address as the block physically reached through it.
-                for (uint32_t s : block.succs)
-                    if (addr_of.count(s) && addr_of.at(s) == target)
-                        return;
-                {
-                    diag(CheckId::PV006, Severity::Error, map.function,
-                         last->addr,
-                         std::string(what) + " of bb" +
-                             std::to_string(block.bbId) + " reaches bb" +
-                             std::to_string(bit->second.second) +
-                             " at " + hex(target) +
-                             ", which is not a declared successor");
-                }
-            };
+            diag(CheckId::PV006, last.addr,
+                 std::string(what) + " of bb" + std::to_string(block.bbId) +
+                     " reaches bb" + std::to_string(bit->bbId) + " at " +
+                     hex(target) + ", which is not a declared successor");
+        };
 
-            const isa::Instruction &inst = last->inst;
-            uint64_t inst_end = last->addr + inst.size();
-            if (inst.isCondBranch() || inst.isUncondBranch()) {
-                check_edge(inst_end + static_cast<int64_t>(inst.rel),
-                           "branch");
-            }
-            if (!inst.endsStream())
-                check_edge(inst_end, "fall-through");
-        }
+        const isa::Instruction &inst = last.inst;
+        uint64_t inst_end = last.addr + inst.size();
+        if (inst.isCondBranch() || inst.isUncondBranch())
+            check_edge(inst_end + static_cast<int64_t>(inst.rel), "branch");
+        if (!inst.endsStream())
+            check_edge(inst_end, "fall-through");
     }
 }
 
@@ -567,21 +613,14 @@ VerifyReport::merge(const VerifyReport &other)
 VerifyReport
 verifyExecutable(const Executable &exe, const VerifyOptions &opts)
 {
-    VerifyReport report;
-    report.engine.parseSuppressions(opts.suppress);
-
-    ExeVerifier v{exe, opts, report, {}, {}, {}, {}};
-    v.checkSymbols();
-    v.checkEntry();
-    runSerialRangePasses(v);
-    if (opts.checkAddrMap)
-        v.checkAddrMap();
-    if (opts.checkEhFrame)
-        v.checkEhFrame();
-    if (opts.checkIntegrity)
-        v.checkIntegrity();
-    v.checkSymbolOrder();
-    return report;
+    ExecutableVerifier v(exe, opts);
+    for (size_t r = 0; r < v.rangeCount(); ++r)
+        v.decodeRange(r);
+    for (size_t r = 0; r < v.rangeCount(); ++r)
+        v.checkRange(r);
+    for (size_t m = 0; m < v.addrMapCount(); ++m)
+        v.checkAddrMap(m);
+    return v.finish();
 }
 
 struct ExecutableVerifier::Impl
@@ -590,15 +629,19 @@ struct ExecutableVerifier::Impl
     ExeVerifier v;
     std::vector<VerifyReport> decodeSlots;
     std::vector<VerifyReport> checkSlots;
+    std::vector<VerifyReport> mapSlots;
 
     Impl(const Executable &exe, const VerifyOptions &opts)
-        : v{exe, opts, main, {}, {}, {}, {}}
+        : v(exe, opts, main)
     {
         main.engine.parseSuppressions(opts.suppress);
         v.checkSymbols();
         v.checkEntry();
+        if (opts.checkAddrMap)
+            v.indexAddrMap();
         decodeSlots.resize(v.ranges.size());
         checkSlots.resize(v.ranges.size());
+        mapSlots.resize(exe.bbAddrMap.size());
     }
 };
 
@@ -623,16 +666,16 @@ ExecutableVerifier::rangeBytes(size_t r) const
     return sym.end > sym.start ? sym.end - sym.start : 0;
 }
 
+size_t
+ExecutableVerifier::addrMapCount() const
+{
+    return impl_->mapSlots.size();
+}
+
 void
 ExecutableVerifier::decodeRange(size_t r)
 {
     impl_->v.decodeRange(impl_->v.ranges[r], impl_->decodeSlots[r]);
-}
-
-void
-ExecutableVerifier::buildIndex()
-{
-    impl_->v.indexBoundaries();
 }
 
 void
@@ -642,18 +685,26 @@ ExecutableVerifier::checkRange(size_t r)
                                    impl_->checkSlots[r]);
 }
 
+void
+ExecutableVerifier::checkAddrMap(size_t m)
+{
+    if (impl_->v.opts.checkAddrMap)
+        impl_->v.checkAddrMap(m, impl_->mapSlots[m]);
+}
+
 VerifyReport
 ExecutableVerifier::finish()
 {
-    // Deterministic merge: per-range findings re-emit in range order
-    // through the main engine (which owns the suppression set), exactly
-    // matching the monolithic pass's diagnostic order.
+    // Deterministic merge: per-range and then per-map findings re-emit
+    // in range and map order through the main engine (which owns the
+    // suppression set), so the report is byte-identical however the
+    // stages were scheduled.
     for (const auto &slot : impl_->decodeSlots)
         impl_->main.merge(slot);
     for (const auto &slot : impl_->checkSlots)
         impl_->main.merge(slot);
-    if (impl_->v.opts.checkAddrMap)
-        impl_->v.checkAddrMap();
+    for (const auto &slot : impl_->mapSlots)
+        impl_->main.merge(slot);
     if (impl_->v.opts.checkEhFrame)
         impl_->v.checkEhFrame();
     if (impl_->v.opts.checkIntegrity)

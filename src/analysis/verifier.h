@@ -90,21 +90,29 @@ VerifyReport verifyExecutable(const linker::Executable &exe,
 
 /**
  * verifyExecutable decomposed into schedulable stages so the task-graph
- * relink engine can overlap per-range decoding and control-flow checks
- * with the tail of linking:
+ * relink engine can spread decoding and every per-range and
+ * per-function check over its workers:
  *
- *   ctor            — symbol/entry checks (PV001-PV003), serial;
- *   decodeRange(r)  — disassemble one range (PV004); thread-safe
- *                     across distinct r;
- *   buildIndex()    — instruction-boundary index over all decoded
- *                     ranges; serial barrier, required before checks;
- *   checkRange(r)   — control-flow checks (PV005/PV007/PV008) for one
- *                     range; thread-safe across distinct r;
- *   finish()        — metadata-wide checks (addr map, eh_frame,
- *                     integrity, symbol order) plus the deterministic
- *                     merge: per-range findings re-emit in range order,
- *                     so the final report is byte-identical to the
- *                     monolithic pass at any thread count.
+ *   ctor             — symbol/entry checks (PV001-PV003) and the
+ *                      address-map block index; serial;
+ *   decodeRange(r)   — disassemble one range (PV004); thread-safe
+ *                      across distinct r;
+ *   checkRange(r)    — control-flow checks (PV005/PV007/PV008) for one
+ *                      range;
+ *   checkAddrMap(m)  — address-map checks (PV006/PV009/PV010) for one
+ *                      function's map (Executable::bbAddrMap[m]);
+ *   finish()         — eh_frame, integrity and symbol-order checks plus
+ *                      the deterministic merge: per-range findings, then
+ *                      per-map findings, re-emit in range and map order,
+ *                      so the report is byte-identical to
+ *                      verifyExecutable at any thread count and in any
+ *                      stage order.
+ *
+ * Every decodeRange must complete before any checkRange or checkAddrMap
+ * starts (instruction-boundary queries binary-search the decoded ranges
+ * containing an address); the checks are then thread-safe across
+ * distinct r and m and may interleave freely, and all of them must
+ * complete before finish().
  *
  * @p exe and @p opts must outlive the verifier.
  */
@@ -123,9 +131,12 @@ class ExecutableVerifier
     /** Byte size of range @p r (cost-model input for task sizing). */
     uint64_t rangeBytes(size_t r) const;
 
+    /** Function address maps (Executable::bbAddrMap entries). */
+    size_t addrMapCount() const;
+
     void decodeRange(size_t r);
-    void buildIndex();
     void checkRange(size_t r);
+    void checkAddrMap(size_t m);
     VerifyReport finish();
 
   private:

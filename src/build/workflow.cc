@@ -623,13 +623,50 @@ Workflow::ensurePhase4()
     recordCodegenReport("phase4.codegen", batch);
     coldObjects_ = batch.cachedNames;
 
+    linker::LinkStats stats;
+    linker::Executable image =
+        linker::link(batch.objects, phase4LinkOptions(), &stats);
+    commitPhase4Link(std::move(image), std::move(stats), batch.objects,
+                     batch.cachedNames);
+    phase4Objects_ = std::move(batch.objects);
+}
+
+linker::Options
+Workflow::phase4LinkOptions()
+{
+    // .bb_addr_map stays in: this one link yields both the verification
+    // image and, stripped afterwards, the shipped PO.
     linker::Options opts = linkOptions();
     opts.outputName = config_.name + ".po";
-    opts.symbolOrder = wpa().ldProf.symbolOrder;
-    opts.stripAddrMaps = true;
-    propellerBinary_ = linkWithReport(batch.objects, opts, "phase4.link",
-                                      batch.cachedNames);
-    phase4Objects_ = std::move(batch.objects);
+    opts.symbolOrder = wpa_->ldProf.symbolOrder;
+    return opts;
+}
+
+void
+Workflow::commitPhase4Link(linker::Executable image,
+                           linker::LinkStats stats,
+                           const std::vector<elf::ObjectFile> &objects,
+                           const std::vector<std::string> &cached_names)
+{
+    // The shipped PO carries no .bb_addr_map, so a map that fails to
+    // decode only thins the verification image's metadata; it never
+    // reached the PO's link report and must not start to.
+    stats.addrMapsRejected = 0;
+    stats.rejectedAddrMapObjects.clear();
+    reports_["phase4.link"] =
+        makeLinkReport("phase4.link", objects, stats, cached_names);
+    poQuarantined_ = std::move(stats.quarantined);
+
+    // Ship a copy with the address maps removed, as `objcopy
+    // --remove-section .bb_addr_map` would: stripping never moves text,
+    // so every other field is the image's own.
+    std::vector<linker::ExecFuncMap> maps = std::move(image.bbAddrMap);
+    image.bbAddrMap.clear();
+    propellerBinary_ = image;
+    propellerBinary_->sizes.bbAddrMap = 0;
+    image.bbAddrMap = std::move(maps);
+    image.name = config_.name + ".po-verify";
+    verifiedBinary_ = std::move(image);
 }
 
 const linker::Executable &
@@ -660,6 +697,36 @@ Workflow::recordVerifyReport(const analysis::VerifyReport &rep)
     reports_["phase5.verify"] = std::move(report);
 }
 
+analysis::VerifyOptions
+Workflow::verifyOptions() const
+{
+    analysis::VerifyOptions vopts;
+    vopts.expectedOrder = &wpa_->ldProf;
+    // Functions deliberately degraded upstream sit at input order, not
+    // profile order; exempting them keeps PV015 about real link bugs.
+    vopts.exemptFunctions.insert(wpa_->stats.quarantinedFunctions.begin(),
+                                 wpa_->stats.quarantinedFunctions.end());
+    vopts.exemptFunctions.insert(poQuarantined_.begin(),
+                                 poQuarantined_.end());
+    return vopts;
+}
+
+void
+Workflow::commitVerify(analysis::VerifyReport rep,
+                       const core::WholeProgramDcfg &flow_dcfg,
+                       const analysis::VerifyOptions &vopts)
+{
+    // Stripping only drops metadata, so the verified image's text is the
+    // shipped text: every machine-code finding is about the shipped bits.
+    PROPELLER_CHECK(verifiedBinary_->text == propellerBinary_->text,
+                    "verified image text diverged from PO");
+    rep.merge(analysis::lintDirectives(wpa_->ccProf, wpa_->ldProf,
+                                       metadataBinary(), vopts));
+    rep.merge(analysis::lintProfileFlow(flow_dcfg, vopts));
+    recordVerifyReport(rep);
+    verify_ = std::move(rep);
+}
+
 void
 Workflow::ensureVerify()
 {
@@ -671,46 +738,15 @@ Workflow::ensureVerify()
     }
     ensurePhase4();
 
-    // PO ships with .bb_addr_map stripped, so relink a metadata-keeping
-    // twin from the same Phase 4 objects under the same options.
-    // Stripping only drops metadata — it never moves text — so the twin
-    // must be byte-identical to PO; checking that makes every finding
-    // below a finding about the shipped image.
-    linker::Options opts = linkOptions();
-    opts.outputName = config_.name + ".po-verify";
-    opts.symbolOrder = wpa().ldProf.symbolOrder;
-    verifyTwin_ = linker::link(*phase4Objects_, opts, nullptr);
-    PROPELLER_CHECK(verifyTwin_->text == propellerBinary_->text,
-                    "verification twin text diverged from PO");
-
-    analysis::VerifyOptions vopts;
-    vopts.expectedOrder = &wpa().ldProf;
-    // Functions deliberately degraded upstream sit at input order, not
-    // profile order; exempting them keeps PV015 about real link bugs.
-    for (const auto &name : wpa().stats.quarantinedFunctions)
-        vopts.exemptFunctions.insert(name);
-    const std::string kQuarantinePrefix = "function quarantined: ";
-    for (const auto &line : report("phase4.link").failures)
-        if (line.rfind(kQuarantinePrefix, 0) == 0)
-            vopts.exemptFunctions.insert(
-                line.substr(kQuarantinePrefix.size()));
-
-    analysis::VerifyReport rep = analysis::verifyExecutable(*verifyTwin_,
-                                                            vopts);
-    rep.merge(analysis::lintDirectives(wpa().ccProf, wpa().ldProf,
-                                       metadataBinary(), vopts));
-    {
-        profile::AggregationOptions agg_opts;
-        agg_opts.threads = config_.jobs;
-        profile::AggregatedProfile agg =
-            profile::aggregate(profile(), agg_opts);
-        core::AddrMapIndex index(metadataBinary());
-        core::WholeProgramDcfg dcfg = core::buildDcfg(agg, index);
-        rep.merge(analysis::lintProfileFlow(dcfg, vopts));
-    }
-
-    recordVerifyReport(rep);
-    verify_ = std::move(rep);
+    analysis::VerifyOptions vopts = verifyOptions();
+    analysis::VerifyReport rep =
+        analysis::verifyExecutable(*verifiedBinary_, vopts);
+    profile::AggregationOptions agg_opts;
+    agg_opts.threads = config_.jobs;
+    core::AddrMapIndex index(metadataBinary());
+    core::WholeProgramDcfg dcfg =
+        core::buildDcfg(profile::aggregate(profile(), agg_opts), index);
+    commitVerify(std::move(rep), dcfg, vopts);
 }
 
 void
@@ -977,8 +1013,6 @@ Workflow::runRelinkGraph(RelinkStage target)
     sched::OrderedSink sink;
     std::vector<sched::TaskId> assembleTask;
     sched::TaskId poLink = sched::kInvalidTask;
-    linker::LinkStats poStats;
-    std::optional<linker::Executable> po;
     const uint64_t corruptionsBefore = cache_.stats().corruptions;
 
     if (need_link) {
@@ -1151,11 +1185,13 @@ Workflow::runRelinkGraph(RelinkStage target)
                 // now (this task depends on all of them).
                 if (hooks_)
                     hooks_->onCachePopulated(cache_);
-                linker::Options opts = linkOptions();
-                opts.outputName = config_.name + ".po";
-                opts.symbolOrder = wpa_->ldProf.symbolOrder;
-                opts.stripAddrMaps = true;
-                po = linker::link(batch.objects, opts, &poStats);
+                // Committed here, not in the coordinator finalize: the
+                // verify tasks read the image and its quarantine list.
+                linker::LinkStats stats;
+                linker::Executable image = linker::link(
+                    batch.objects, phase4LinkOptions(), &stats);
+                commitPhase4Link(std::move(image), std::move(stats),
+                                 batch.objects, batch.cachedNames);
             },
             {"link:po", "phase4.link", cost_.actionOverheadSec});
         for (size_t i = 0; i < nmod; ++i)
@@ -1164,9 +1200,8 @@ Workflow::runRelinkGraph(RelinkStage target)
             graph.addEdge(mergeTask, poLink);
     }
 
-    // ---- Phase 5: per-range verification --------------------------------
-    std::optional<linker::Executable> twin;
-    std::optional<analysis::VerifyOptions> vopts;
+    // ---- Phase 5: per-range and per-function verification -------------
+    analysis::VerifyOptions vopts;
     std::unique_ptr<analysis::ExecutableVerifier> verifier;
     std::optional<analysis::VerifyReport> vrep;
     std::optional<core::AddrMapIndex> flowIndex;
@@ -1176,34 +1211,15 @@ Workflow::runRelinkGraph(RelinkStage target)
     std::vector<sched::TaskId> checkTask;
 
     if (need_verify) {
-        vopts.emplace();
-        const std::vector<elf::ObjectFile> *vobjects =
-            need_link ? &batch.objects : &*phase4Objects_;
-
-        sched::TaskId twinTask = graph.add(
-            [&, vobjects] {
-                linker::Options opts = linkOptions();
-                opts.outputName = config_.name + ".po-verify";
-                opts.symbolOrder = wpa_->ldProf.symbolOrder;
-                twin = linker::link(*vobjects, opts, nullptr);
-            },
-            {"link:twin", "phase5.verify", 0.0});
-        if (need_link) {
-            for (size_t i = 0; i < nmod; ++i)
-                graph.addEdge(assembleTask[i], twinTask);
-            if (mergeTask != sched::kInvalidTask)
-                graph.addEdge(mergeTask, twinTask);
-        }
-
         sched::TaskId setupTask = graph.add(
             [&] {
                 // PV001-PV003 run in the ctor; ranges come after.
-                verifier =
-                    std::make_unique<analysis::ExecutableVerifier>(
-                        *twin, *vopts);
+                verifier = std::make_unique<analysis::ExecutableVerifier>(
+                    *verifiedBinary_, vopts);
             },
             {"verify.setup", "phase5.verify", 0.0});
-        graph.addEdge(twinTask, setupTask);
+        if (need_link)
+            graph.addEdge(poLink, setupTask);
 
         decodeTask.resize(chunks);
         checkTask.resize(chunks);
@@ -1225,12 +1241,10 @@ Workflow::runRelinkGraph(RelinkStage target)
             graph.addEdge(setupTask, decodeTask[c]);
         }
 
-        sched::TaskId indexTask = graph.add(
-            [&] { verifier->buildIndex(); },
-            {"verify.index", "phase5.verify", 0.0});
-        for (size_t c = 0; c < chunks; ++c)
-            graph.addEdge(decodeTask[c], indexTask);
-
+        // A check reads other ranges' decoded instructions (branch
+        // targets, block boundaries), so every check chunk waits for
+        // every decode chunk.  Each chunk checks its share of the
+        // ranges and of the per-function address maps.
         for (size_t c = 0; c < chunks; ++c) {
             checkTask[c] = graph.add(
                 [&, c] {
@@ -1241,47 +1255,35 @@ Workflow::runRelinkGraph(RelinkStage target)
                         verifier->checkRange(r);
                         bytes += verifier->rangeBytes(r);
                     }
+                    size_t nm = verifier->addrMapCount();
+                    for (size_t m = c * nm / chunks;
+                         m < (c + 1) * nm / chunks; ++m)
+                        verifier->checkAddrMap(m);
                     graph.setCost(checkTask[c],
                                   static_cast<double>(bytes) *
                                       cost_.verifySecPerByte * 0.3);
                 },
                 {"check#" + std::to_string(c), "phase5.verify", 0.0});
-            graph.addEdge(indexTask, checkTask[c]);
+            for (size_t d = 0; d < chunks; ++d)
+                graph.addEdge(decodeTask[d], checkTask[c]);
         }
 
         sched::TaskId finishTask = graph.add(
             [&] {
-                // Metadata-wide checks read the applied order and every
-                // upstream quarantine decision, including the just-run
-                // link's overflow quarantine.
-                vopts->expectedOrder = &wpa_->ldProf;
-                for (const auto &name :
-                     wpa_->stats.quarantinedFunctions)
-                    vopts->exemptFunctions.insert(name);
-                if (need_link) {
-                    for (const auto &name : poStats.quarantined)
-                        vopts->exemptFunctions.insert(name);
-                } else {
-                    const std::string kPrefix =
-                        "function quarantined: ";
-                    for (const auto &line :
-                         report("phase4.link").failures)
-                        if (line.rfind(kPrefix, 0) == 0)
-                            vopts->exemptFunctions.insert(
-                                line.substr(kPrefix.size()));
-                }
+                // The symbol-order check reads the applied order and
+                // every upstream quarantine decision, including the
+                // just-run link's overflow quarantine.
+                vopts = verifyOptions();
                 vrep = verifier->finish();
             },
             {"verify.finish", "phase5.verify", 0.0});
         for (size_t c = 0; c < chunks; ++c)
             graph.addEdge(checkTask[c], finishTask);
-        if (need_link)
-            graph.addEdge(poLink, finishTask);
 
         // The profile-flow lint rebuilds its own DCFG; that build has no
         // dependencies and overlaps the whole graph.  The lint itself
         // runs in the coordinator finalize (it reads the verify options
-        // the finish task mutates).
+        // the finish task sets).
         graph.add(
             [&] {
                 profile::AggregationOptions agg_opts;
@@ -1339,23 +1341,11 @@ Workflow::runRelinkGraph(RelinkStage target)
         batch.makespanSec = cost_.makespan(missCosts, limits_.workers);
         recordCodegenReport("phase4.codegen", batch);
         coldObjects_ = batch.cachedNames;
-        reports_["phase4.link"] = makeLinkReport(
-            "phase4.link", batch.objects, poStats, batch.cachedNames);
-        propellerBinary_ = std::move(po);
         phase4Objects_ = std::move(batch.objects);
     }
 
-    if (need_verify) {
-        PROPELLER_CHECK(twin->text == propellerBinary_->text,
-                        "verification twin text diverged from PO");
-        analysis::VerifyReport rep = std::move(*vrep);
-        rep.merge(analysis::lintDirectives(wpa_->ccProf, wpa_->ldProf,
-                                           pm, *vopts));
-        rep.merge(analysis::lintProfileFlow(*flowDcfg, *vopts));
-        recordVerifyReport(rep);
-        verify_ = std::move(rep);
-        verifyTwin_ = std::move(twin);
-    }
+    if (need_verify)
+        commitVerify(std::move(*vrep), *flowDcfg, vopts);
 }
 
 const analysis::VerifyReport &
@@ -1368,8 +1358,8 @@ Workflow::verifyReport()
 const linker::Executable &
 Workflow::verifiedBinary()
 {
-    ensureVerify();
-    return *verifyTwin_;
+    ensurePhase4();
+    return *verifiedBinary_;
 }
 
 const std::vector<std::string> &
@@ -1377,6 +1367,13 @@ Workflow::coldObjects()
 {
     ensurePhase4();
     return coldObjects_;
+}
+
+const std::vector<elf::ObjectFile> &
+Workflow::phase4Objects()
+{
+    ensurePhase4();
+    return *phase4Objects_;
 }
 
 linker::Executable
@@ -1439,12 +1436,9 @@ Workflow::iterativePropellerBinary()
         return *iterative_;
     ensurePhase4();
 
-    // Round 2 metadata binary: the Phase 4 objects, address maps kept.
-    linker::Options pm2_opts = linkOptions();
-    pm2_opts.outputName = config_.name + ".pm2";
-    pm2_opts.symbolOrder = wpa().ldProf.symbolOrder;
-    linker::Executable pm2 =
-        linkWithReport(*phase4Objects_, pm2_opts, "", {});
+    // Round 2 metadata binary: the Phase 4 link image, maps kept.
+    linker::Executable pm2 = *verifiedBinary_;
+    pm2.name = config_.name + ".pm2";
 
     sim::RunResult run =
         sim::run(pm2, workload::profileOptions(config_));

@@ -30,16 +30,17 @@
  * The relink chain (Phase 3 WPA -> Phase 4 codegen -> link -> Phase 5
  * verify) runs, by default, as ONE fine-grained task graph on the
  * work-stealing scheduler of src/sched: per-function Ext-TSP layouts,
- * per-module codegen, per-object link assembly and per-range
- * verification are tasks with real data dependencies, so a module's
- * backend re-runs the moment its last hot function's layout lands and
- * verification overlaps the tail of linking — no phase barriers.
- * Order-sensitive side effects (cache population, retry accounting,
- * failure attribution) commit through an OrderedSink in module order,
- * so artifacts, reports and cache statistics are byte-identical to the
- * barrier engine (kept behind WorkloadConfig::barrierScheduler for
- * ablation) at any thread count.  relinkSchedule() exposes the modelled
- * schedule: critical path, makespan, parallel efficiency, steals.
+ * per-module codegen, per-object link assembly and per-range and
+ * per-function verification are tasks with real data dependencies, so
+ * a module's backend re-runs the moment its last hot function's layout
+ * lands and verification spreads over every worker the moment the one
+ * Phase 4 link lands — no phase barriers.  Order-sensitive side effects
+ * (cache population, retry accounting, failure attribution) commit
+ * through an OrderedSink in module order, so artifacts, reports and
+ * cache statistics are byte-identical to the barrier engine (kept
+ * behind WorkloadConfig::barrierScheduler for ablation) at any thread
+ * count.  relinkSchedule() exposes the modelled schedule: critical
+ * path, makespan, parallel efficiency, steals.
  */
 
 #include <cstdint>
@@ -251,17 +252,21 @@ class Workflow
 
     /**
      * Phase 5 (optional): statically verify the shipped Propeller
-     * binary.  PO links with stripped addr maps, so the verifier runs
-     * over a metadata-keeping twin relinked from the exact Phase 4
-     * objects — text is checked byte-identical to PO, making every
-     * machine-code finding a finding about the shipped bits.  Also
-     * lints the applied Phase 3 artifacts (cc_prof / ld_prof, profile
-     * flow) and records a "phase5.verify" PhaseReport with one failure
-     * line per diagnostic, attributed to the offending function.
+     * binary.  Phase 4 links once with .bb_addr_map kept and ships a
+     * copy with the maps removed, so the verifier runs over the kept
+     * image (verifiedBinary()) — its text is checked byte-identical to
+     * PO, making every machine-code finding a finding about the shipped
+     * bits.  Also lints the applied Phase 3 artifacts (cc_prof /
+     * ld_prof, profile flow) and records a "phase5.verify" PhaseReport
+     * with one failure line per diagnostic, attributed to the offending
+     * function.
      */
     const analysis::VerifyReport &verifyReport();
 
-    /** The metadata-keeping verification twin of propellerBinary(). */
+    /**
+     * The Phase 4 link image with .bb_addr_map kept: propellerBinary()
+     * plus its address maps, the image Phase 5 verifies.
+     */
     const linker::Executable &verifiedBinary();
 
     /**
@@ -347,6 +352,9 @@ class Workflow
 
     /** Names of the Phase 4 cache-hit objects (e.g. "mod_003.o"). */
     const std::vector<std::string> &coldObjects();
+
+    /** The objects the Phase 4 link consumed, in module order. */
+    const std::vector<elf::ObjectFile> &phase4Objects();
 
     const CacheStats &cacheStats() const { return cache_.stats(); }
 
@@ -462,6 +470,32 @@ class Workflow
     /** Record "phase5.verify" from a merged verification report. */
     void recordVerifyReport(const analysis::VerifyReport &rep);
 
+    /** Options of the one Phase 4 link (ld_prof order, maps kept). */
+    linker::Options phase4LinkOptions();
+
+    /**
+     * Record the Phase 4 link: its "phase4.link" report and quarantine
+     * list, @p image (maps kept) as verifiedBinary() and a copy with
+     * the maps removed as the shipped propellerBinary().
+     */
+    void commitPhase4Link(linker::Executable image, linker::LinkStats stats,
+                          const std::vector<elf::ObjectFile> &objects,
+                          const std::vector<std::string> &cached_names);
+
+    /**
+     * Phase 5 verify options: the applied symbol order, with the
+     * functions WPA or the Phase 4 link quarantined exempt from PV015.
+     */
+    analysis::VerifyOptions verifyOptions() const;
+
+    /**
+     * Fold the pre-link lints into @p rep (the verifier's report over
+     * verifiedBinary()), record "phase5.verify" and memoize the result.
+     */
+    void commitVerify(analysis::VerifyReport rep,
+                      const core::WholeProgramDcfg &flow_dcfg,
+                      const analysis::VerifyOptions &vopts);
+
     /** Link with cost accounting; records a report under @p phase. */
     linker::Executable linkWithReport(
         const std::vector<elf::ObjectFile> &objects,
@@ -478,9 +512,10 @@ class Workflow
     /**
      * Build and run one task graph covering every unmemoized relink
      * stage up to @p target (WPA layout fan-out, per-module codegen,
-     * link assembly, per-range verification), then record the classic
-     * PhaseReports — with the same barrier formulas, so reports are
-     * mode-identical — plus "relink.graph" and the ScheduleReport.
+     * link assembly, per-range and per-function verification), then
+     * record the classic PhaseReports — with the same barrier
+     * formulas, so reports are mode-identical — plus "relink.graph" and
+     * the ScheduleReport.
      */
     void runRelinkGraph(RelinkStage target);
     core::LayoutOptions defaultLayoutOptions() const;
@@ -504,8 +539,10 @@ class Workflow
     std::optional<core::WpaResult> wpa_;
     std::optional<linker::Executable> propellerBinary_;
     std::optional<std::vector<elf::ObjectFile>> phase4Objects_;
+    std::optional<linker::Executable> verifiedBinary_;
+    /** Functions the Phase 4 link quarantined (overflow, input order). */
+    std::vector<std::string> poQuarantined_;
     std::optional<analysis::VerifyReport> verify_;
-    std::optional<linker::Executable> verifyTwin_;
     std::optional<linker::Executable> iterative_;
     std::vector<std::string> coldObjects_;
     std::optional<sched::ScheduleReport> schedule_;

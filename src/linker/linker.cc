@@ -453,21 +453,23 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
 
     // Stale-profile fingerprints live in the object address maps (the
     // emitted sections only carry block marks); index them by function so
-    // the final ExecFuncMap can be annotated below.
+    // the final ExecFuncMap can be annotated below.  The decoded maps are
+    // link-local, so successor lists move out of them: codegen emits each
+    // block of a function once, into exactly one section.
     struct FuncFp
     {
         uint64_t functionHash = 0;
-        std::unordered_map<uint32_t, const elf::BbEntry *> blocks;
+        std::unordered_map<uint32_t, elf::BbEntry *> blocks;
     };
     std::unordered_map<std::string, FuncFp> fp_of;
     for (const auto &obj : objects) {
         if (!addr_map_kept[obj.name])
             continue;
-        for (const auto &map : decoded_maps[obj.name]) {
+        for (auto &map : decoded_maps[obj.name]) {
             FuncFp &fp = fp_of[map.functionName];
             fp.functionHash = map.functionHash;
-            for (const auto &range : map.ranges) {
-                for (const auto &bb : range.blocks)
+            for (auto &range : map.ranges) {
+                for (auto &bb : range.blocks)
                     fp.blocks.emplace(bb.bbId, &bb);
             }
         }
@@ -493,7 +495,7 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
             func_maps.push_back(ExecFuncMap{sect.parentFunction, {}});
         ExecFuncMap &map = func_maps[it->second];
 
-        const FuncFp *fp = nullptr;
+        FuncFp *fp = nullptr;
         if (auto fit = fp_of.find(sect.parentFunction); fit != fp_of.end())
             fp = &fit->second;
         if (fp)
@@ -512,7 +514,7 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
                 auto bit = fp->blocks.find(block.bbId);
                 if (bit != fp->blocks.end()) {
                     block.hash = bit->second->hash;
-                    block.succs = bit->second->succs;
+                    block.succs = std::move(bit->second->succs);
                 }
             }
             map.blocks.push_back(std::move(block));

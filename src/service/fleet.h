@@ -161,8 +161,8 @@ struct FleetOptions
     double relinkBackoffSec = 30.0;
 
     /**
-     * Run the static verifier (analysis::verifyExecutable, through the
-     * Workflow's phase-5 twin) over every relink output and treat a
+     * Run the static verifier (the Workflow's phase 5, over the relink
+     * image with its address maps) on every relink output and treat a
      * diagnostic as a failed attempt — the "never ship an unverified
      * binary" contract.  On by default; tests that only exercise
      * ingestion may turn it off for speed.

@@ -8,16 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/diagnostics.h"
 #include "analysis/mutate.h"
 #include "analysis/verifier.h"
 #include "build/workflow.h"
+#include "faultinject/faultinject.h"
+#include "linker/linker.h"
 #include "propeller/addr_map_index.h"
 #include "propeller/profile_mapper.h"
+#include "support/rng.h"
 #include "test_util.h"
 #include "workload/workload.h"
 
@@ -105,7 +111,7 @@ TEST(Verifier, CleanWorkflowHasZeroDiagnostics)
         EXPECT_GT(rep.functionsChecked, 0u);
         EXPECT_GT(rep.instructionsDecoded, 0u);
 
-        // The twin the verifier ran over is byte-identical to PO.
+        // The image the verifier ran over is byte-identical to PO.
         EXPECT_EQ(wf.verifiedBinary().text, wf.propellerBinary().text);
         EXPECT_FALSE(wf.verifiedBinary().bbAddrMap.empty());
 
@@ -162,6 +168,291 @@ TEST(Verifier, DetectsEverySeededDefectClass)
                 << defectName(cls) << " seed " << seed << " [" << desc
                 << "] expected " << checkName(want) << ", got:\n"
                 << rep.engine.renderText();
+        }
+    }
+}
+
+/** Run @p jobs in a seeded shuffle, pulled by 8 threads. */
+void
+runShuffled(std::vector<std::function<void()>> &jobs, uint64_t seed)
+{
+    Rng rng(seed);
+    for (size_t i = jobs.size(); i > 1; --i)
+        std::swap(jobs[i - 1], jobs[rng.below(i)]);
+    std::atomic<size_t> next{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; ++t) {
+        threads.emplace_back([&] {
+            for (size_t i = next++; i < jobs.size(); i = next++)
+                jobs[i]();
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+}
+
+/**
+ * Drive ExecutableVerifier's stages over @p exe in reverse order, then
+ * in a seeded shuffle from 8 threads; both must render exactly the
+ * report verifyExecutable renders.
+ */
+void
+expectStageOrderFree(const linker::Executable &exe,
+                     const VerifyOptions &opts, uint64_t seed,
+                     const std::string &what)
+{
+    const VerifyReport want = verifyExecutable(exe, opts);
+    auto expectSame = [&](const VerifyReport &got, const char *order) {
+        EXPECT_EQ(got.engine.renderText(), want.engine.renderText())
+            << what << " (" << order << ")";
+        EXPECT_EQ(got.engine.suppressedCount(),
+                  want.engine.suppressedCount());
+        EXPECT_EQ(got.functionsChecked, want.functionsChecked);
+        EXPECT_EQ(got.rangesDecoded, want.rangesDecoded);
+        EXPECT_EQ(got.handAsmSkipped, want.handAsmSkipped);
+        EXPECT_EQ(got.instructionsDecoded, want.instructionsDecoded);
+        EXPECT_EQ(got.bytesVerified, want.bytesVerified);
+    };
+
+    {
+        ExecutableVerifier v(exe, opts);
+        for (size_t r = v.rangeCount(); r-- > 0;)
+            v.decodeRange(r);
+        for (size_t m = v.addrMapCount(); m-- > 0;)
+            v.checkAddrMap(m);
+        for (size_t r = v.rangeCount(); r-- > 0;)
+            v.checkRange(r);
+        expectSame(v.finish(), "reverse");
+    }
+    {
+        ExecutableVerifier v(exe, opts);
+        std::vector<std::function<void()>> decodes;
+        std::vector<std::function<void()>> checks;
+        for (size_t r = 0; r < v.rangeCount(); ++r) {
+            decodes.push_back([&v, r] { v.decodeRange(r); });
+            checks.push_back([&v, r] { v.checkRange(r); });
+        }
+        for (size_t m = 0; m < v.addrMapCount(); ++m)
+            checks.push_back([&v, m] { v.checkAddrMap(m); });
+        runShuffled(decodes, seed);
+        runShuffled(checks, seed + 1);
+        expectSame(v.finish(), "shuffled, 8 threads");
+    }
+}
+
+/**
+ * The staged verifier is the relink engine's Phase 5: every mutant of
+ * the defect matrix, the clean image, and one image carrying every
+ * mutant at once (findings in many functions and checks, so a stage
+ * that reported out of its slot would reorder them) must report
+ * identically to the serial pass whatever order and threads drive the
+ * stages.
+ */
+TEST(Verifier, StagedReportIsOrderAndThreadFree)
+{
+    buildsys::Workflow wf(verifyConfig());
+    const linker::Executable &twin = wf.verifiedBinary();
+    profile::AggregatedProfile agg = profile::aggregate(wf.profile());
+    core::AddrMapIndex index(wf.metadataBinary());
+
+    VerifyOptions clean_opts;
+    clean_opts.expectedOrder = &wf.wpa().ldProf;
+    expectStageOrderFree(twin, clean_opts, 11, "clean image");
+
+    linker::Executable all = twin;
+    core::LdProfile all_ld = wf.wpa().ldProf;
+    for (size_t c = 0; c < kDefectClassCount; ++c) {
+        DefectClass cls = allDefectClasses()[c];
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+            linker::Executable exe = twin;
+            core::CcProfile cc = wf.wpa().ccProf;
+            core::LdProfile ld = wf.wpa().ldProf;
+            core::WholeProgramDcfg dcfg = core::buildDcfg(agg, index);
+            MutationTarget target{&exe, &cc, &ld, &dcfg};
+            std::string desc = injectDefect(cls, seed, target);
+            ASSERT_NE(desc, "") << defectName(cls) << " seed " << seed;
+
+            VerifyOptions opts;
+            opts.expectedOrder = &ld;
+            expectStageOrderFree(exe, opts, c * 16 + seed,
+                                 std::string(defectName(cls)) +
+                                     " seed " + std::to_string(seed));
+
+            MutationTarget all_target{&all, nullptr, &all_ld, nullptr};
+            injectDefect(cls, seed, all_target);
+        }
+    }
+    VerifyOptions all_opts;
+    all_opts.expectedOrder = &all_ld;
+    ASSERT_GT(verifyExecutable(all, all_opts).engine.errorCount(), 10u);
+    expectStageOrderFree(all, all_opts, 7, "every mutant at once");
+}
+
+/** Every field of two linked images. */
+void
+expectSameImage(const linker::Executable &a, const linker::Executable &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.name, b.name) << what;
+    EXPECT_EQ(a.textBase, b.textBase) << what;
+    EXPECT_EQ(a.entryAddress, b.entryAddress) << what;
+    EXPECT_EQ(a.text, b.text) << what;
+    EXPECT_EQ(a.identityHash, b.identityHash) << what;
+    EXPECT_EQ(a.hugePagesText, b.hugePagesText) << what;
+
+    ASSERT_EQ(a.symbols.size(), b.symbols.size()) << what;
+    for (size_t i = 0; i < a.symbols.size(); ++i) {
+        const linker::FuncRange &x = a.symbols[i];
+        const linker::FuncRange &y = b.symbols[i];
+        EXPECT_TRUE(x.name == y.name &&
+                    x.parentFunction == y.parentFunction &&
+                    x.start == y.start && x.end == y.end &&
+                    x.isPrimary == y.isPrimary &&
+                    x.isHandAsm == y.isHandAsm)
+            << what << ": symbol " << x.name;
+    }
+
+    ASSERT_EQ(a.bbAddrMap.size(), b.bbAddrMap.size()) << what;
+    for (size_t i = 0; i < a.bbAddrMap.size(); ++i) {
+        const linker::ExecFuncMap &x = a.bbAddrMap[i];
+        const linker::ExecFuncMap &y = b.bbAddrMap[i];
+        EXPECT_EQ(x.function, y.function) << what;
+        EXPECT_EQ(x.functionHash, y.functionHash) << what;
+        ASSERT_EQ(x.blocks.size(), y.blocks.size()) << what;
+        for (size_t k = 0; k < x.blocks.size(); ++k) {
+            const linker::ExecBlock &p = x.blocks[k];
+            const linker::ExecBlock &q = y.blocks[k];
+            EXPECT_TRUE(p.bbId == q.bbId && p.address == q.address &&
+                        p.size == q.size && p.flags == q.flags &&
+                        p.hash == q.hash && p.succs == q.succs)
+                << what << ": " << x.function << " bb" << p.bbId;
+        }
+    }
+
+    ASSERT_EQ(a.integrityChecks.size(), b.integrityChecks.size()) << what;
+    for (size_t i = 0; i < a.integrityChecks.size(); ++i) {
+        EXPECT_EQ(a.integrityChecks[i].function,
+                  b.integrityChecks[i].function) << what;
+        EXPECT_EQ(a.integrityChecks[i].expectedHash,
+                  b.integrityChecks[i].expectedHash) << what;
+    }
+
+    ASSERT_EQ(a.frames.size(), b.frames.size()) << what;
+    for (size_t i = 0; i < a.frames.size(); ++i) {
+        EXPECT_TRUE(a.frames[i].sectionSymbol == b.frames[i].sectionSymbol &&
+                    a.frames[i].start == b.frames[i].start &&
+                    a.frames[i].end == b.frames[i].end)
+            << what << ": frame " << a.frames[i].sectionSymbol;
+    }
+
+    EXPECT_EQ(a.sizes.text, b.sizes.text) << what;
+    EXPECT_EQ(a.sizes.ehFrame, b.sizes.ehFrame) << what;
+    EXPECT_EQ(a.sizes.bbAddrMap, b.sizes.bbAddrMap) << what;
+    EXPECT_EQ(a.sizes.relocs, b.sizes.relocs) << what;
+    EXPECT_EQ(a.sizes.debug, b.sizes.debug) << what;
+    EXPECT_EQ(a.sizes.other, b.sizes.other) << what;
+}
+
+/**
+ * Damages the .bb_addr_map bytes of every object in the cache while
+ * keeping each entry's integrity hash valid, so Phase 4's cold cache
+ * hits reach the relink with metadata a map-keeping link rejects.
+ */
+struct PoisonCachedAddrMaps : buildsys::FaultHooks
+{
+    bool done = false;
+
+    void
+    onCachePopulated(buildsys::ArtifactCache &cache) override
+    {
+        if (done)
+            return;
+        done = true;
+        for (uint64_t key : cache.keys()) {
+            cache.corruptStored(
+                key,
+                [](std::vector<uint8_t> &bytes) {
+                    auto obj = elf::ObjectFile::deserializeChecked(bytes);
+                    if (!obj.ok())
+                        return;
+                    elf::ObjectFile damaged = std::move(obj).value();
+                    int sect = damaged.findSection(".bb_addr_map");
+                    if (sect < 0 || damaged.sections[sect].bytes.empty())
+                        return;
+                    damaged.sections[sect].bytes.back() ^= 0xff;
+                    bytes = damaged.serialize();
+                },
+                /*rehash=*/true);
+        }
+    }
+};
+
+/**
+ * The verification twin as a test oracle: relinking the relink's own
+ * Phase 4 objects independently — stripped, then keeping the maps —
+ * must reproduce the shipped PO and the verified image field for field,
+ * and "phase4.link" must report exactly what the stripped link saw,
+ * even when the kept maps fail to decode.
+ */
+TEST(Verifier, IndependentRelinksMatchShippedAndVerifiedImages)
+{
+    enum class Faults { None, AddrMap, PoisonedCache };
+    for (unsigned jobs : {1u, 8u}) {
+        for (bool barrier : {false, true}) {
+            for (Faults faults :
+                 {Faults::None, Faults::AddrMap, Faults::PoisonedCache}) {
+                std::string what =
+                    "jobs=" + std::to_string(jobs) +
+                    (barrier ? " barrier" : " taskgraph") + " faults=" +
+                    std::to_string(static_cast<int>(faults));
+                workload::WorkloadConfig cfg = verifyConfig(jobs);
+                cfg.barrierScheduler = barrier;
+                buildsys::Workflow wf(cfg);
+                faultinject::FaultInjector injector(
+                    faultinject::parseFaultSpec("addrmap=0.25").value());
+                PoisonCachedAddrMaps poison;
+                if (faults == Faults::AddrMap)
+                    wf.setFaultHooks(&injector);
+                if (faults == Faults::PoisonedCache)
+                    wf.setFaultHooks(&poison);
+                EXPECT_TRUE(wf.verifyReport().clean())
+                    << what << "\n"
+                    << wf.verifyReport().engine.renderText();
+
+                linker::Options opts;
+                opts.outputName = cfg.name + ".po";
+                opts.entrySymbol = wf.program().entryFunction;
+                opts.hugePagesText = cfg.hugePages;
+                opts.symbolOrder = wf.wpa().ldProf.symbolOrder;
+                opts.stripAddrMaps = true;
+                linker::LinkStats po_stats;
+                linker::Executable po =
+                    linker::link(wf.phase4Objects(), opts, &po_stats);
+                opts.outputName = cfg.name + ".po-verify";
+                opts.stripAddrMaps = false;
+                linker::LinkStats twin_stats;
+                linker::Executable twin =
+                    linker::link(wf.phase4Objects(), opts, &twin_stats);
+
+                expectSameImage(po, wf.propellerBinary(), what + " PO");
+                expectSameImage(twin, wf.verifiedBinary(),
+                                what + " verified image");
+
+                std::vector<std::string> want;
+                for (const std::string &name : po_stats.quarantined)
+                    want.push_back("function quarantined: " + name);
+                const buildsys::PhaseReport &link =
+                    wf.report("phase4.link");
+                EXPECT_EQ(link.failures, want) << what;
+                EXPECT_EQ(link.quarantined, po_stats.quarantinedFunctions)
+                    << what;
+                EXPECT_EQ(link.peakActionMemory, po_stats.peakMemory)
+                    << what;
+                if (faults == Faults::PoisonedCache) {
+                    EXPECT_GT(twin_stats.addrMapsRejected, 0u)
+                        << what << ": no kept map was rejected";
+                }
+            }
         }
     }
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "ir/verifier.h"
 #include "test_util.h"
 
@@ -88,6 +90,16 @@ struct VerifierCase
     void (*mutate)(Program &);
     const char *expected;
 };
+
+/**
+ * Print a case as its expected error. Without this gtest prints the raw
+ * pointer bytes, so the listed test names change from run to run.
+ */
+void
+PrintTo(const VerifierCase &c, std::ostream *os)
+{
+    *os << c.expected;
+}
 
 void
 dropTerminator(Program &p)

@@ -27,11 +27,12 @@
  *   verify <workload>            statically verify the Propeller-
  *                                optimized binary: IR invariants, then
  *                                the post-link disassembly cross-check
- *                                (src/analysis) over a metadata-keeping
- *                                twin of PO plus lints of the applied
- *                                Phase 3 artifacts; --json emits the CI
- *                                artifact form, --suppress PV004,...
- *                                mutes specific checks
+ *                                (src/analysis) over the Phase 4 link
+ *                                image with its address maps (PO is
+ *                                that image stripped) plus lints of the
+ *                                applied Phase 3 artifacts; --json emits
+ *                                the CI artifact form, --suppress
+ *                                PV004,... mutes specific checks
  *   disasm <workload> <symbol>   disassemble one function of the
  *                                Propeller-optimized binary
  *   heatmap <workload>           instruction-access heat maps
@@ -529,9 +530,9 @@ cmdVerify(const std::string &name)
         return 1;
     }
 
-    // The canonical phase-5 pass (twin relink + all machine checks) —
-    // or the same machine checks aimed at the BOLT rewrite — refiltered
-    // through the user's suppression list.
+    // The canonical phase-5 pass (all machine checks on the kept-map
+    // Phase 4 image) — or the same machine checks aimed at the BOLT
+    // rewrite — refiltered through the user's suppression list.
     if (g_backend != "propeller" && g_backend != "bolt") {
         std::fprintf(stderr, "propeller-cli: unknown --backend '%s'\n",
                      g_backend.c_str());

@@ -2,9 +2,11 @@
  * @file
  * Task-graph relink engine gate: on bigtable at 8 modelled workers the
  * work-stealing schedule must land within 1.03x of the critical-path
- * lower bound, beat the phase-barriered engine's summed makespan, and
- * ship byte-identical artifacts at every worker count and under the
- * barrier ablation.
+ * lower bound, beat the barrier sum — the sum of the run's own
+ * phase3.wpa, phase4.codegen and phase4.link reports, each of which
+ * models its phase alone, so the sum is the relink with a barrier
+ * between phases — and ship byte-identical artifacts at every worker
+ * count.
  *
  * Incremental-relink gates (the layout memoization tier):
  *  - a warm rerun against the cold run's cache must hit for every
@@ -15,6 +17,8 @@
  *  - with --cache FILE the cold run persists its cache image; a second
  *    process pointed at the same file demonstrates the cross-process
  *    warm path (persisted_cache_loaded / persisted_layout_hit_rate).
+ *    Without --cache the warm runs use a temporary image next to the
+ *    output file, deleted before exit.
  *
  * Emits BENCH_taskgraph.json so CI tracks the schedule-quality and
  * memoization trajectory over time; --trace FILE additionally exports
@@ -47,7 +51,6 @@ constexpr double kWarmSpeedupGate = 3.0;
 struct EngineParams
 {
     unsigned jobs = 8;
-    bool barrier = false;
     uint32_t workers = 8;
     /** Seed the artifact cache from this image before the run. */
     const char *loadCache = nullptr;
@@ -76,7 +79,7 @@ struct RunOutcome
     bool cacheLoaded = false;
     uint64_t layoutHits = 0;
     uint64_t layoutMisses = 0;
-    /** Barrier engine only: sum of the three relink phase makespans. */
+    /** Sum of the three relink phase reports' makespans. */
     double barrierSumSec = 0.0;
     std::vector<sched::TaskSpan> spans;
     std::vector<std::pair<std::string, sched::ScheduleReport::Window>>
@@ -112,7 +115,6 @@ runEngine(const EngineParams &p)
 {
     workload::WorkloadConfig cfg = workload::configByName(kWorkload);
     cfg.jobs = p.jobs;
-    cfg.barrierScheduler = p.barrier;
     buildsys::Workflow wf(cfg);
 
     // The gate is specified at 8 workers; bigtable's distributed build
@@ -141,28 +143,24 @@ runEngine(const EngineParams &p)
     if (p.saveCache)
         wf.saveCacheFile(p.saveCache);
 
-    if (p.barrier) {
-        for (const char *phase :
-             {"phase3.wpa", "phase4.codegen", "phase4.link"})
-            out.barrierSumSec += wf.report(phase).makespanSec;
-    } else {
-        const sched::ScheduleReport &s = wf.relinkSchedule();
-        out.modelMakespanSec = s.makespanSec;
-        out.lowerBoundSec = s.lowerBoundSec;
-        out.criticalPathSec = s.criticalPathSec;
-        out.efficiency = s.parallelEfficiency;
-        out.steals = s.steals;
-        out.stealAttempts = s.stealAttempts;
-        out.stealHitRate = s.stealHitRate();
-        out.workerIdleSec = s.workerIdleSec;
-        out.tasks = s.tasksExecuted;
-        out.spans = s.spans;
-        for (const char *phase :
-             {"phase3.wpa", "phase4.codegen", "phase4.link"})
-            out.windows.push_back({phase, s.phaseWindow(phase)});
-        if (p.tracePath && !sched::writeChromeTrace(s, p.tracePath))
-            std::printf("warning: cannot write trace %s\n", p.tracePath);
+    const sched::ScheduleReport &s = wf.relinkSchedule();
+    out.modelMakespanSec = s.makespanSec;
+    out.lowerBoundSec = s.lowerBoundSec;
+    out.criticalPathSec = s.criticalPathSec;
+    out.efficiency = s.parallelEfficiency;
+    out.steals = s.steals;
+    out.stealAttempts = s.stealAttempts;
+    out.stealHitRate = s.stealHitRate();
+    out.workerIdleSec = s.workerIdleSec;
+    out.tasks = s.tasksExecuted;
+    out.spans = s.spans;
+    for (const char *phase :
+         {"phase3.wpa", "phase4.codegen", "phase4.link"}) {
+        out.barrierSumSec += wf.report(phase).makespanSec;
+        out.windows.push_back({phase, s.phaseWindow(phase)});
     }
+    if (p.tracePath && !sched::writeChromeTrace(s, p.tracePath))
+        std::printf("warning: cannot write trace %s\n", p.tracePath);
     return out;
 }
 
@@ -260,22 +258,20 @@ main(int argc, char **argv)
         persisted_text = std::move(persisted.text);
     }
 
-    // ---- Cold engine comparison ----------------------------------------
+    // ---- Cold runs ------------------------------------------------------
     const char *save_path = cache_path;
-    RunOutcome graph1 = runEngine({1, false});
-    RunOutcome graph2 = runEngine({2, false});
+    RunOutcome graph1 = runEngine({1});
+    RunOutcome graph2 = runEngine({2});
     RunOutcome graph8 =
-        runEngine({8, false, 8, nullptr, save_path, nullptr, trace_path});
-    RunOutcome barrier = runEngine({8, true});
+        runEngine({8, 8, nullptr, save_path, nullptr, trace_path});
 
-    bool bytes_identical = graph1.text == graph8.text &&
-                           graph2.text == graph8.text &&
-                           barrier.text == graph8.text;
+    bool bytes_identical =
+        graph1.text == graph8.text && graph2.text == graph8.text;
     double ratio = graph8.lowerBoundSec > 0.0
                        ? graph8.modelMakespanSec / graph8.lowerBoundSec
                        : 1.0;
     double speedup = graph8.modelMakespanSec > 0.0
-                         ? barrier.barrierSumSec / graph8.modelMakespanSec
+                         ? graph8.barrierSumSec / graph8.modelMakespanSec
                          : 0.0;
 
     std::printf("\n%s relink, %u tasks, 8 modelled workers:\n", kWorkload,
@@ -288,7 +284,7 @@ main(int argc, char **argv)
                 "task-graph makespan", graph8.modelMakespanSec, ratio,
                 kRatioGate);
     std::printf("  %-26s %10.1f s  (%.2fx slower than task graph)\n",
-                "barrier phase sum", barrier.barrierSumSec, speedup);
+                "barrier phase sum", graph8.barrierSumSec, speedup);
     std::printf("  %-26s %9.0f%%\n", "parallel efficiency",
                 graph8.efficiency * 100.0);
 
@@ -308,18 +304,18 @@ main(int argc, char **argv)
                     top[i].label.c_str(), top[i].costSec,
                     top[i].startSec, top[i].endSec);
 
-    // Makespan vs. modelled workers: how each engine scales as the
-    // build system grants more executors (EXPERIMENTS.md table).
+    // Makespan vs. modelled workers: how the graph and the barrier sum
+    // scale as the build system grants more executors (EXPERIMENTS.md
+    // table).
     const uint32_t kWorkerSweep[] = {1, 2, 4, 8, 16};
     std::vector<double> sweep_graph, sweep_barrier;
     std::printf("\nmakespan vs modelled workers (graph vs barrier "
                 "sum):\n  %-8s %12s %14s %8s\n", "workers",
                 "task graph", "barrier sum", "speedup");
     for (uint32_t w : kWorkerSweep) {
-        double g = w == 8 ? graph8.modelMakespanSec
-                          : runEngine({8, false, w}).modelMakespanSec;
-        double b = w == 8 ? barrier.barrierSumSec
-                          : runEngine({8, true, w}).barrierSumSec;
+        RunOutcome run = w == 8 ? graph8 : runEngine({8, w});
+        double g = run.modelMakespanSec;
+        double b = run.barrierSumSec;
         sweep_graph.push_back(g);
         sweep_barrier.push_back(b);
         std::printf("  %-8u %10.1f s %12.1f s %7.2fx\n", w, g, b,
@@ -392,6 +388,8 @@ main(int argc, char **argv)
     drift_warm_params.loadCache = tmp_cache.c_str();
     drift_warm_params.profileOverride = &drifted;
     RunOutcome drift_warm = runEngine(drift_warm_params);
+    if (!cache_path)
+        std::remove(tmp_cache.c_str());
     EngineParams drift_cold_params;
     drift_cold_params.profileOverride = &drifted;
     RunOutcome drift_cold = runEngine(drift_cold_params);
@@ -426,8 +424,7 @@ main(int argc, char **argv)
     std::printf("\nwall clock of the real relink (this machine):\n");
     std::printf("  jobs=1 %.2fs   jobs=2 %.2fs   jobs=8 %.2fs\n",
                 graph1.wallSec, graph2.wallSec, graph8.wallSec);
-    std::printf("\nartifacts byte-identical across jobs {1,2,8} and the "
-                "barrier ablation: %s\n",
+    std::printf("\nartifacts byte-identical across jobs {1,2,8}: %s\n",
                 bytes_identical ? "yes" : "NO");
     if (cache_path)
         std::printf("persisted cache image: %s (pre-existing image "
@@ -436,8 +433,7 @@ main(int argc, char **argv)
                     persisted_hit_rate);
 
     bool ratio_ok = ratio <= kRatioGate;
-    bool beats_barrier =
-        graph8.modelMakespanSec < barrier.barrierSumSec;
+    bool beats_barrier = graph8.modelMakespanSec < graph8.barrierSumSec;
     bool warm_speedup_ok = warm_speedup >= kWarmSpeedupGate;
     bool persisted_ok =
         !persisted_loaded ||
@@ -461,7 +457,7 @@ main(int argc, char **argv)
     std::fprintf(out, "  \"makespan_over_lower_bound\": %.4f,\n", ratio);
     std::fprintf(out, "  \"ratio_gate\": %.2f,\n", kRatioGate);
     std::fprintf(out, "  \"barrier_phase_sum_sec\": %.3f,\n",
-                 barrier.barrierSumSec);
+                 graph8.barrierSumSec);
     std::fprintf(out, "  \"speedup_over_barrier\": %.4f,\n", speedup);
     std::fprintf(out, "  \"parallel_efficiency\": %.4f,\n",
                  graph8.efficiency);
@@ -527,8 +523,8 @@ main(int argc, char **argv)
 
     bool failed = false;
     if (!bytes_identical) {
-        std::printf("GATE FAILED: artifacts differ across engines or "
-                    "worker counts\n");
+        std::printf("GATE FAILED: artifacts differ across worker "
+                    "counts\n");
         failed = true;
     }
     if (!ratio_ok) {
@@ -540,7 +536,7 @@ main(int argc, char **argv)
     if (!beats_barrier) {
         std::printf("GATE FAILED: task graph (%.1fs) does not beat the "
                     "barrier phase sum (%.1fs)\n",
-                    graph8.modelMakespanSec, barrier.barrierSumSec);
+                    graph8.modelMakespanSec, graph8.barrierSumSec);
         failed = true;
     }
     if (!warm_identical) {

@@ -93,7 +93,8 @@ uint64_t
 Workflow::moduleHash(size_t module_index) const
 {
     assert(program_ && "program() must be generated first");
-    if (moduleHashes_.empty()) {
+    // Codegen actions key themselves on worker threads.
+    std::call_once(moduleHashesOnce_, [this] {
         moduleHashes_.reserve(program_->modules.size());
         for (const auto &mod : program_->modules) {
             uint64_t h = fnv1a(mod->name);
@@ -111,7 +112,7 @@ Workflow::moduleHash(size_t module_index) const
             }
             moduleHashes_.push_back(h);
         }
-    }
+    });
     return moduleHashes_[module_index];
 }
 
@@ -163,27 +164,29 @@ Workflow::actionKey(size_t module_index,
     return key;
 }
 
-Workflow::CompileBatch
-Workflow::compileModules(const codegen::ClusterMap *clusters,
-                         const core::PrefetchMap *prefetches)
+Workflow::ModuleBuild
+Workflow::buildModule(size_t i, const codegen::ClusterMap *clusters,
+                      const core::PrefetchMap *prefetches,
+                      elf::ObjectFile &object)
 {
-    const ir::Program &prog = program();
-    size_t n = prog.modules.size();
+    const ir::Module &mod = *program_->modules[i];
+    ModuleBuild built;
+    built.key = actionKey(i, clusters, prefetches, true);
 
-    CompileBatch batch;
-
-    // Corrupt WPA directives must degrade to per-function fallback, not
-    // abort the backend.  Sanitation is a no-op (and the copy identical)
-    // on honest input, so zero-fault action fingerprints are unchanged.
-    codegen::ClusterMap sanitized;
-    if (clusters) {
-        sanitized = *clusters;
-        std::vector<std::string> dropped =
-            codegen::sanitizeClusterMap(prog, sanitized);
-        for (const auto &name : dropped)
-            batch.failures.push_back("cluster directive dropped: " + name);
-        batch.quarantined = static_cast<uint32_t>(dropped.size());
-        clusters = &sanitized;
+    // A hit must survive both the cache's byte-hash check (lookup
+    // returns nullptr on mismatch) and structural deserialization;
+    // either failure evicts the entry and the action re-executes as a
+    // miss.
+    if (const std::vector<uint8_t> *bytes = cache_.lookup(built.key)) {
+        auto obj = elf::ObjectFile::deserializeChecked(*bytes);
+        if (obj.ok()) {
+            object = std::move(obj).value();
+            built.hit = true;
+            return built;
+        }
+        cache_.evictCorrupt(built.key);
+        built.reject = "cache artifact rejected (" + mod.name +
+                       "): " + obj.status().toString();
     }
 
     codegen::Options copts;
@@ -193,84 +196,89 @@ Workflow::compileModules(const codegen::ClusterMap *clusters,
         copts.clusters = clusters;
     }
     copts.prefetches = prefetches;
+    object = codegen::compileModule(mod, copts);
+    built.stored = object.serialize();
+    return built;
+}
 
-    // Cache lookups run on the coordinating thread, in module order, so
-    // hit/miss accounting is deterministic.  A hit must survive both the
-    // cache's byte-hash check (lookup returns nullptr on mismatch) and
-    // structural deserialization; either failure evicts the entry and
-    // the action re-executes as a miss.
+double
+Workflow::commitModule(size_t i, ModuleBuild &built, CompileBatch &batch)
+{
+    if (!built.reject.empty())
+        batch.rejects.push_back(std::move(built.reject));
+    const elf::ObjectFile &obj = batch.objects[i];
+    if (built.hit) {
+        batch.cachedNames.push_back(obj.name);
+        ++batch.cacheHits;
+        return 0.0;
+    }
+    cache_.put(built.key, std::move(built.stored));
+
+    const ir::Module &mod = *program_->modules[i];
+    const uint64_t insts = moduleInsts(mod);
+    const double base =
+        static_cast<double>(insts) * cost_.backendSecPerInst;
+
+    // Transient executor failures (injected via hooks) are retried with
+    // deterministic exponential backoff; each failed attempt pays the
+    // action cost again plus the backoff.  An action that exhausts its
+    // budget falls back to the coordinator — the build degrades in
+    // makespan, never in output.
+    double cost = base;
+    if (hooks_) {
+        const uint32_t attempts = limits_.maxActionRetries + 1;
+        uint32_t attempt = 1;
+        while (attempt <= attempts &&
+               hooks_->failAction(mod.name, attempt)) {
+            cost += base + limits_.retryBackoffSec *
+                               static_cast<double>(1u << (attempt - 1));
+            ++batch.retries;
+            ++attempt;
+        }
+        if (attempt > attempts) {
+            batch.exhausted.push_back(
+                "retries exhausted, ran on coordinator: " + mod.name);
+            cost += base;
+        }
+    }
+    batch.missCosts.push_back(cost);
+    batch.peakActionMemory =
+        std::max(batch.peakActionMemory,
+                 codegenActionMemory(insts, obj.sizeInBytes()));
+    return cost + cost_.actionOverheadSec;
+}
+
+Workflow::CompileBatch
+Workflow::compileModules(const codegen::ClusterMap *clusters,
+                         const core::PrefetchMap *prefetches)
+{
+    const ir::Program &prog = program();
+    const size_t n = prog.modules.size();
+
+    CompileBatch batch;
     batch.objects.resize(n);
-    std::vector<size_t> misses;
-    uint64_t corruptions_before = cache_.stats().corruptions;
-    for (size_t i = 0; i < n; ++i) {
-        uint64_t key = actionKey(i, clusters, prefetches, true);
-        const std::vector<uint8_t> *hit = cache_.lookup(key);
-        if (hit) {
-            auto obj = elf::ObjectFile::deserializeChecked(*hit);
-            if (obj.ok()) {
-                batch.objects[i] = std::move(obj).value();
-                batch.cachedNames.push_back(batch.objects[i].name);
-                ++batch.cacheHits;
-                continue;
-            }
-            cache_.evictCorrupt(key);
-            batch.failures.push_back("cache artifact rejected (" +
-                                     prog.modules[i]->name +
-                                     "): " + obj.status().toString());
-        }
-        misses.push_back(i);
-    }
-    batch.cacheCorruptions = static_cast<uint32_t>(
-        cache_.stats().corruptions - corruptions_before);
+    batch.corruptionsBefore = cache_.stats().corruptions;
 
-    // Only the missing actions execute; they fan out over the local
-    // thread pool.  Results land in per-module slots, so the output is
-    // byte-identical at any thread count.
-    parallelFor(config_.jobs, misses.size(), [&](size_t m) {
-        size_t i = misses[m];
-        batch.objects[i] =
-            codegen::compileModule(*prog.modules[i], copts);
+    // Corrupt WPA directives must degrade to per-function fallback, not
+    // abort the backend.  Sanitation is a no-op (and the copy identical)
+    // on honest input, so zero-fault action fingerprints are unchanged.
+    codegen::ClusterMap sanitized;
+    if (clusters) {
+        sanitized = *clusters;
+        batch.dropped = codegen::sanitizeClusterMap(prog, sanitized);
+        clusters = &sanitized;
+    }
+
+    // Actions build in parallel into per-module slots and commit in
+    // module order, so the output is byte-identical at any thread count.
+    // Every module has its own action key, so lookups in any order count
+    // the same hits, misses and corruptions.
+    std::vector<ModuleBuild> built(n);
+    parallelFor(config_.jobs, n, [&](size_t i) {
+        built[i] = buildModule(i, clusters, prefetches, batch.objects[i]);
     });
-
-    std::vector<double> costs;
-    for (size_t i : misses) {
-        cache_.put(actionKey(i, clusters, prefetches, true),
-                   batch.objects[i].serialize());
-        uint64_t insts = moduleInsts(*prog.modules[i]);
-        double base_cost =
-            static_cast<double>(insts) * cost_.backendSecPerInst;
-
-        // Transient executor failures (injected via hooks) are retried
-        // with deterministic exponential backoff; each failed attempt
-        // pays the action cost again plus the backoff.  An action that
-        // exhausts its budget falls back to the coordinator — the build
-        // degrades in makespan, never in output.
-        double cost = base_cost;
-        if (hooks_) {
-            const std::string &name = prog.modules[i]->name;
-            uint32_t attempts = limits_.maxActionRetries + 1;
-            uint32_t attempt = 1;
-            while (attempt <= attempts &&
-                   hooks_->failAction(name, attempt)) {
-                cost += base_cost +
-                        limits_.retryBackoffSec *
-                            static_cast<double>(1u << (attempt - 1));
-                ++batch.retries;
-                ++attempt;
-            }
-            if (attempt > attempts) {
-                batch.failures.push_back(
-                    "retries exhausted, ran on coordinator: " + name);
-                cost += base_cost;
-            }
-        }
-        costs.push_back(cost);
-        batch.peakActionMemory = std::max(
-            batch.peakActionMemory,
-            codegenActionMemory(insts, batch.objects[i].sizeInBytes()));
-    }
-    batch.actions = static_cast<uint32_t>(misses.size());
-    batch.makespanSec = cost_.makespan(costs, limits_.workers);
+    for (size_t i = 0; i < n; ++i)
+        commitModule(i, built[i], batch);
 
     if (hooks_)
         hooks_->onCachePopulated(cache_);
@@ -283,16 +291,26 @@ Workflow::recordCodegenReport(const std::string &phase,
 {
     PhaseReport report;
     report.phase = phase;
-    report.makespanSec = batch.makespanSec;
-    report.actions = batch.actions;
+    report.makespanSec = cost_.makespan(batch.missCosts, limits_.workers);
+    report.actions = static_cast<uint32_t>(batch.missCosts.size());
     report.cacheHits = batch.cacheHits;
     report.peakActionMemory = batch.peakActionMemory;
     report.memoryLimitExceeded =
         batch.peakActionMemory > limits_.ramPerAction;
     report.retries = batch.retries;
-    report.cacheCorruptions = batch.cacheCorruptions;
-    report.quarantined = batch.quarantined;
-    report.failures = batch.failures;
+    report.cacheCorruptions = static_cast<uint32_t>(
+        cache_.stats().corruptions - batch.corruptionsBefore);
+
+    // The relink sanitizes per module; sorting restores map order.
+    std::vector<std::string> dropped = batch.dropped;
+    std::sort(dropped.begin(), dropped.end());
+    report.quarantined = static_cast<uint32_t>(dropped.size());
+    for (const auto &name : dropped)
+        report.failures.push_back("cluster directive dropped: " + name);
+    report.failures.insert(report.failures.end(), batch.rejects.begin(),
+                           batch.rejects.end());
+    report.failures.insert(report.failures.end(), batch.exhausted.begin(),
+                           batch.exhausted.end());
     reports_[phase] = std::move(report);
 }
 
@@ -577,58 +595,8 @@ Workflow::recordWpaReport()
 const core::WpaResult &
 Workflow::wpa()
 {
-    if (!wpa_) {
-        if (usesTaskGraph()) {
-            runRelinkGraph(RelinkStage::Wpa);
-        } else if (dcfgOverride_) {
-            // Barrier engine with an injected DCFG: run the same staged
-            // pipeline the default path wraps, substituting the DCFG at
-            // applyDcfg() (intra-procedural only, like the fan-out
-            // below).
-            core::WpaPipeline pipeline(metadataBinary(), profile(),
-                                       defaultLayoutOptions(),
-                                       config_.jobs);
-            pipeline.overrideDcfg(std::move(*dcfgOverride_));
-            dcfgOverride_.reset();
-            pipeline.build();
-            std::vector<core::FunctionLayout> slots(
-                pipeline.functionCount());
-            parallelFor(config_.jobs, slots.size(), [&](size_t f) {
-                slots[f] = pipeline.layoutFunction(f);
-            });
-            wpa_ = pipeline.finish(std::move(slots),
-                                   pipeline.globalOrder());
-            recordWpaReport();
-        } else {
-            wpa_ = core::runWholeProgramAnalysis(
-                metadataBinary(), profile(), defaultLayoutOptions(),
-                config_.jobs);
-            recordWpaReport();
-        }
-    }
+    runRelinkGraph(RelinkStage::Wpa);
     return *wpa_;
-}
-
-void
-Workflow::ensurePhase4()
-{
-    if (propellerBinary_)
-        return;
-    if (usesTaskGraph()) {
-        runRelinkGraph(RelinkStage::Link);
-        return;
-    }
-
-    CompileBatch batch = compileModules(&wpa().ccProf.clusters, nullptr);
-    recordCodegenReport("phase4.codegen", batch);
-    coldObjects_ = batch.cachedNames;
-
-    linker::LinkStats stats;
-    linker::Executable image =
-        linker::link(batch.objects, phase4LinkOptions(), &stats);
-    commitPhase4Link(std::move(image), std::move(stats), batch.objects,
-                     batch.cachedNames);
-    phase4Objects_ = std::move(batch.objects);
 }
 
 linker::Options
@@ -672,7 +640,7 @@ Workflow::commitPhase4Link(linker::Executable image,
 const linker::Executable &
 Workflow::propellerBinary()
 {
-    ensurePhase4();
+    runRelinkGraph(RelinkStage::Link);
     return *propellerBinary_;
 }
 
@@ -728,42 +696,20 @@ Workflow::commitVerify(analysis::VerifyReport rep,
 }
 
 void
-Workflow::ensureVerify()
-{
-    if (verify_)
-        return;
-    if (usesTaskGraph()) {
-        runRelinkGraph(RelinkStage::Verify);
-        return;
-    }
-    ensurePhase4();
-
-    analysis::VerifyOptions vopts = verifyOptions();
-    analysis::VerifyReport rep =
-        analysis::verifyExecutable(*verifiedBinary_, vopts);
-    profile::AggregationOptions agg_opts;
-    agg_opts.threads = config_.jobs;
-    core::AddrMapIndex index(metadataBinary());
-    core::WholeProgramDcfg dcfg =
-        core::buildDcfg(profile::aggregate(profile(), agg_opts), index);
-    commitVerify(std::move(rep), dcfg, vopts);
-}
-
-void
 Workflow::runRelinkGraph(RelinkStage target)
 {
-    // Serial upstream phases (memoized; not part of the relink graph).
-    const linker::Executable &pm = metadataBinary();
-    const profile::Profile &prof = profile();
-    const ir::Program &prog = program();
-    const size_t nmod = prog.modules.size();
-
     const bool need_wpa = !wpa_;
     const bool need_link =
         target != RelinkStage::Wpa && !propellerBinary_;
     const bool need_verify = target == RelinkStage::Verify && !verify_;
     if (!need_wpa && !need_link && !need_verify)
         return;
+
+    // Serial upstream phases (memoized; not part of the relink graph).
+    const linker::Executable &pm = metadataBinary();
+    const profile::Profile &prof = profile();
+    const ir::Program &prog = program();
+    const size_t nmod = prog.modules.size();
 
     sched::TaskGraph graph;
 
@@ -800,7 +746,7 @@ Workflow::runRelinkGraph(RelinkStage target)
 
         // The modelled profile-conversion cost, split across the
         // ingestion stages in proportion to their real work so the
-        // stage sum matches the barrier engine's single formula.  The
+        // stage sum matches the phase3.wpa report's single formula.  The
         // shard counts are pure functions of the profile and the
         // worker count, never of the schedule.
         profile::AggregationOptions agg_probe;
@@ -1005,38 +951,29 @@ Workflow::runRelinkGraph(RelinkStage target)
     // ---- Phase 4: per-module codegen + per-object link assembly ---------
     CompileBatch batch;
     std::vector<char> isHit;
-    std::vector<uint64_t> objBytes;
-    std::vector<std::vector<std::string>> droppedByModule;
-    std::vector<std::string> rejectLines;
-    std::vector<std::string> retryLines;
-    std::vector<double> missCosts;
     sched::OrderedSink sink;
     std::vector<sched::TaskId> assembleTask;
     sched::TaskId poLink = sched::kInvalidTask;
-    const uint64_t corruptionsBefore = cache_.stats().corruptions;
 
     if (need_link) {
         batch.objects.resize(nmod);
+        batch.corruptionsBefore = cache_.stats().corruptions;
         isHit.assign(nmod, 0);
-        objBytes.assign(nmod, 0);
-        droppedByModule.resize(nmod);
         codegenTask.resize(nmod);
         assembleTask.resize(nmod);
 
         for (size_t i = 0; i < nmod; ++i) {
             codegenTask[i] = graph.add(
                 [&, i] {
-                    const ir::Module &mod = *prog.modules[i];
-
                     // This module's restriction of the cluster map.
                     // Sanitation validates entries independently, so the
                     // sanitized restriction equals the restriction of
-                    // the sanitized full map, and action keys (which
-                    // read only the module's own entries) match the
-                    // barrier engine exactly.
+                    // the sanitized full map, and the action key (which
+                    // reads only the module's own entries) is the one
+                    // compileModules() would compute.
                     codegen::ClusterMap submap;
                     if (use_slots) {
-                        for (const auto &fn : mod.functions) {
+                        for (const auto &fn : prog.modules[i]->functions) {
                             auto it = dcfgIndex.find(fn->name);
                             if (it != dcfgIndex.end())
                                 submap.emplace(fn->name,
@@ -1045,101 +982,28 @@ Workflow::runRelinkGraph(RelinkStage target)
                     } else {
                         const codegen::ClusterMap &full =
                             wpa_->ccProf.clusters;
-                        for (const auto &fn : mod.functions) {
+                        for (const auto &fn : prog.modules[i]->functions) {
                             auto it = full.find(fn->name);
                             if (it != full.end())
                                 submap.emplace(fn->name, it->second);
                         }
                     }
-                    droppedByModule[i] =
+                    std::vector<std::string> dropped =
                         codegen::sanitizeClusterMap(prog, submap);
-                    const uint64_t key =
-                        actionKey(i, &submap, nullptr, true);
-
-                    bool hit = false;
-                    std::string reject;
-                    if (const std::vector<uint8_t> *bytes =
-                            cache_.lookup(key)) {
-                        auto obj =
-                            elf::ObjectFile::deserializeChecked(*bytes);
-                        if (obj.ok()) {
-                            batch.objects[i] = std::move(obj).value();
-                            hit = true;
-                        } else {
-                            cache_.evictCorrupt(key);
-                            reject = "cache artifact rejected (" +
-                                     mod.name +
-                                     "): " + obj.status().toString();
-                        }
-                    }
-                    if (!hit) {
-                        codegen::Options copts;
-                        copts.emitAddrMapSection = true;
-                        copts.bbSections =
-                            codegen::BbSectionsMode::Clusters;
-                        copts.clusters = &submap;
-                        batch.objects[i] =
-                            codegen::compileModule(mod, copts);
-                    }
-                    isHit[i] = hit ? 1 : 0;
-                    objBytes[i] = batch.objects[i].sizeInBytes();
-
-                    const uint64_t insts = moduleInsts(mod);
-                    std::vector<uint8_t> stored =
-                        hit ? std::vector<uint8_t>()
-                            : batch.objects[i].serialize();
+                    ModuleBuild built =
+                        buildModule(i, &submap, nullptr, batch.objects[i]);
+                    isHit[i] = built.hit ? 1 : 0;
 
                     // Order-sensitive side effects (cache population,
                     // retry accounting, failure attribution, cost-model
                     // inputs) commit in module order regardless of
                     // which worker finished first.
-                    sink.submit(i, [&, i, key, hit, insts, reject,
-                                    stored =
-                                        std::move(stored)]() mutable {
-                        if (!reject.empty())
-                            rejectLines.push_back(reject);
-                        if (hit) {
-                            batch.cachedNames.push_back(
-                                batch.objects[i].name);
-                            ++batch.cacheHits;
-                            graph.setCost(codegenTask[i], 0.0);
-                            return;
-                        }
-                        cache_.put(key, std::move(stored));
-                        double base = static_cast<double>(insts) *
-                                      cost_.backendSecPerInst;
-                        double c = base;
-                        if (hooks_) {
-                            const std::string &name =
-                                prog.modules[i]->name;
-                            uint32_t attempts =
-                                limits_.maxActionRetries + 1;
-                            uint32_t attempt = 1;
-                            while (attempt <= attempts &&
-                                   hooks_->failAction(name, attempt)) {
-                                c += base +
-                                     limits_.retryBackoffSec *
-                                         static_cast<double>(
-                                             1u << (attempt - 1));
-                                ++batch.retries;
-                                ++attempt;
-                            }
-                            if (attempt > attempts) {
-                                retryLines.push_back(
-                                    "retries exhausted, ran on "
-                                    "coordinator: " +
-                                    name);
-                                c += base;
-                            }
-                        }
-                        missCosts.push_back(c);
-                        ++batch.actions;
-                        batch.peakActionMemory = std::max(
-                            batch.peakActionMemory,
-                            codegenActionMemory(
-                                insts, batch.objects[i].sizeInBytes()));
+                    sink.submit(i, [&, i, dropped = std::move(dropped),
+                                    built = std::move(built)]() mutable {
+                        batch.dropped.insert(batch.dropped.end(),
+                                             dropped.begin(), dropped.end());
                         graph.setCost(codegenTask[i],
-                                      c + cost_.actionOverheadSec);
+                                      commitModule(i, built, batch));
                     });
                 },
                 {"codegen:" + prog.modules[i]->name, "phase4.codegen",
@@ -1168,7 +1032,8 @@ Workflow::runRelinkGraph(RelinkStage target)
                     // and layout finalization stay on the link task.
                     graph.setCost(
                         assembleTask[i],
-                        static_cast<double>(objBytes[i]) *
+                        static_cast<double>(
+                            batch.objects[i].sizeInBytes()) *
                             ((isHit[i] ? cost_.fetchCachedSecPerByte
                                        : cost_.fetchFreshSecPerByte) +
                              cost_.linkSecPerByte));
@@ -1180,7 +1045,7 @@ Workflow::runRelinkGraph(RelinkStage target)
 
         poLink = graph.add(
             [&] {
-                // The hook point the barrier engine fires after a batch
+                // The hook point compileModules() fires after a batch
                 // stores its outputs: every codegen commit has run by
                 // now (this task depends on all of them).
                 if (hooks_)
@@ -1300,15 +1165,14 @@ Workflow::runRelinkGraph(RelinkStage target)
     sched::SchedulerOptions sopts;
     sopts.threads = config_.jobs;
     sopts.modelWorkers = limits_.workers;
-    sopts.fifoQueues = config_.fifoScheduler;
     sched::ScheduleReport sreport = sched::Scheduler(sopts).run(graph);
 
-    // ---- Coordinator finalize: memoize + mode-identical reports ---------
+    // ---- Coordinator finalize: memoize + per-phase reports --------------
     //
-    // The classic PhaseReports use the same barrier formulas as the
-    // barrier engine (inputs are identical by construction), so every
-    // consumer sees identical accounting; the graph's overlap story
-    // lives in relinkSchedule() and the "relink.graph" report.
+    // Each classic PhaseReport models its phase alone (the formulas
+    // compileModules() and the serial links use), so their sum is what
+    // the relink would take with a barrier between phases; the graph's
+    // overlap story lives in relinkSchedule() and "relink.graph".
     schedule_ = std::move(sreport);
     {
         PhaseReport report;
@@ -1322,23 +1186,6 @@ Workflow::runRelinkGraph(RelinkStage target)
         recordWpaReport();
 
     if (need_link) {
-        std::vector<std::string> dropped;
-        for (const auto &names : droppedByModule)
-            dropped.insert(dropped.end(), names.begin(), names.end());
-        // The barrier engine sanitizes one full map and reports drops in
-        // map order; sorting the per-module drops reproduces that order.
-        std::sort(dropped.begin(), dropped.end());
-        batch.quarantined = static_cast<uint32_t>(dropped.size());
-        for (const auto &name : dropped)
-            batch.failures.push_back("cluster directive dropped: " +
-                                     name);
-        batch.failures.insert(batch.failures.end(), rejectLines.begin(),
-                              rejectLines.end());
-        batch.failures.insert(batch.failures.end(), retryLines.begin(),
-                              retryLines.end());
-        batch.cacheCorruptions = static_cast<uint32_t>(
-            cache_.stats().corruptions - corruptionsBefore);
-        batch.makespanSec = cost_.makespan(missCosts, limits_.workers);
         recordCodegenReport("phase4.codegen", batch);
         coldObjects_ = batch.cachedNames;
         phase4Objects_ = std::move(batch.objects);
@@ -1351,28 +1198,28 @@ Workflow::runRelinkGraph(RelinkStage target)
 const analysis::VerifyReport &
 Workflow::verifyReport()
 {
-    ensureVerify();
+    runRelinkGraph(RelinkStage::Verify);
     return *verify_;
 }
 
 const linker::Executable &
 Workflow::verifiedBinary()
 {
-    ensurePhase4();
+    runRelinkGraph(RelinkStage::Link);
     return *verifiedBinary_;
 }
 
 const std::vector<std::string> &
 Workflow::coldObjects()
 {
-    ensurePhase4();
+    runRelinkGraph(RelinkStage::Link);
     return coldObjects_;
 }
 
 const std::vector<elf::ObjectFile> &
 Workflow::phase4Objects()
 {
-    ensurePhase4();
+    runRelinkGraph(RelinkStage::Link);
     return *phase4Objects_;
 }
 
@@ -1434,7 +1281,7 @@ Workflow::iterativePropellerBinary()
 {
     if (iterative_)
         return *iterative_;
-    ensurePhase4();
+    runRelinkGraph(RelinkStage::Link);
 
     // Round 2 metadata binary: the Phase 4 link image, maps kept.
     linker::Executable pm2 = *verifiedBinary_;

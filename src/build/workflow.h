@@ -28,24 +28,26 @@
  * any thread count.
  *
  * The relink chain (Phase 3 WPA -> Phase 4 codegen -> link -> Phase 5
- * verify) runs, by default, as ONE fine-grained task graph on the
- * work-stealing scheduler of src/sched: per-function Ext-TSP layouts,
- * per-module codegen, per-object link assembly and per-range and
- * per-function verification are tasks with real data dependencies, so
- * a module's backend re-runs the moment its last hot function's layout
- * lands and verification spreads over every worker the moment the one
- * Phase 4 link lands — no phase barriers.  Order-sensitive side effects
- * (cache population, retry accounting, failure attribution) commit
- * through an OrderedSink in module order, so artifacts, reports and
- * cache statistics are byte-identical to the barrier engine (kept
- * behind WorkloadConfig::barrierScheduler for ablation) at any thread
- * count.  relinkSchedule() exposes the modelled schedule: critical
- * path, makespan, parallel efficiency, steals.
+ * verify) runs as ONE fine-grained task graph on the work-stealing
+ * scheduler of src/sched: per-function Ext-TSP layouts, per-module
+ * codegen, per-object link assembly and per-range and per-function
+ * verification are tasks with real data dependencies, so a module's
+ * backend re-runs the moment its last hot function's layout lands and
+ * verification spreads over every worker the moment the one Phase 4
+ * link lands — no phase barriers.  Order-sensitive side effects (cache
+ * population, retry accounting, failure attribution) commit through an
+ * OrderedSink in module order, so artifacts, reports and cache
+ * statistics are byte-identical at any thread count.  Every codegen
+ * action — Phase 2, the relink, and the prefetch, ablation and
+ * iterative rebuilds — runs the same build step and in-order commit.
+ * relinkSchedule() exposes the modelled schedule: critical path,
+ * makespan, parallel efficiency, steals.
  */
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -225,9 +227,6 @@ class Workflow
      * every phase's cost model and the scheduler's virtual workers.
      */
     void setBuildLimits(const BuildLimits &limits) { limits_ = limits; }
-
-    /** The relink chain runs on the task-graph scheduler (default). */
-    bool usesTaskGraph() const { return !config_.barrierScheduler; }
 
     /** The program IR (Phase 1 product; generated on first use). */
     const ir::Program &program();
@@ -425,19 +424,29 @@ class Workflow
     void setLayoutPrimeFunctions(std::set<std::string> functions);
 
   private:
-    /** One per-module compile batch over the content cache. */
+    /** One codegen action's result, handed from build to commit. */
+    struct ModuleBuild
+    {
+        uint64_t key = 0;            ///< The action's cache key.
+        bool hit = false;            ///< Served from the cache.
+        std::string reject;          ///< Cache-rejection line, if any.
+        std::vector<uint8_t> stored; ///< Serialized object (misses).
+    };
+
+    /** One compile batch over the content cache, committed in order. */
     struct CompileBatch
     {
         std::vector<elf::ObjectFile> objects; ///< In module order.
         std::vector<std::string> cachedNames; ///< Cache-hit object names.
-        uint32_t actions = 0;
+        std::vector<std::string> dropped;     ///< Cluster directives dropped.
+        std::vector<std::string> rejects;     ///< Cache-rejection lines.
+        std::vector<std::string> exhausted;   ///< Retry-exhaustion lines.
+        std::vector<double> missCosts;        ///< Per executed action.
         uint32_t cacheHits = 0;
-        double makespanSec = 0.0;
+        uint32_t retries = 0; ///< Failed attempts retried.
         uint64_t peakActionMemory = 0;
-        uint32_t retries = 0;          ///< Failed attempts retried.
-        uint32_t cacheCorruptions = 0; ///< Corrupt hits evicted + rebuilt.
-        uint32_t quarantined = 0;      ///< Cluster directives dropped.
-        std::vector<std::string> failures; ///< Failure summary lines.
+        /** cacheStats().corruptions when the batch started. */
+        uint64_t corruptionsBefore = 0;
     };
 
     /** Fingerprint of one codegen action (module + directives). */
@@ -447,17 +456,41 @@ class Workflow
                        bool emit_addr_map) const;
 
     /**
-     * Compile every module, serving unchanged actions from the cache.
-     * Misses compile in parallel (jobs threads) and are stored back.
+     * The thread-safe half of module @p i's codegen action: cache
+     * lookup and checked decode (a damaged hit is evicted and becomes
+     * a reject line), else compile and serialize.  Writes the object to
+     * @p object.  @p clusters must already be sanitized.
+     */
+    ModuleBuild buildModule(size_t i, const codegen::ClusterMap *clusters,
+                            const core::PrefetchMap *prefetches,
+                            elf::ObjectFile &object);
+
+    /**
+     * The in-order half, called in module order: records the reject
+     * line, then counts the hit, or stores the object and charges the
+     * action (retries with backoff, peak memory) to @p batch.
+     * @return the action's modelled cost plus the per-action overhead;
+     *         0 for a hit (no action ran).
+     */
+    double commitModule(size_t i, ModuleBuild &built, CompileBatch &batch);
+
+    /**
+     * Compile every module, serving unchanged actions from the cache:
+     * buildModule() in parallel (jobs threads), then commitModule() in
+     * module order.
      */
     CompileBatch compileModules(const codegen::ClusterMap *clusters,
                                 const core::PrefetchMap *prefetches);
 
-    /** Record a codegen-batch report under @p phase. */
+    /**
+     * Record a codegen-batch report under @p phase.  Failure lines:
+     * dropped directives in map order, then cache rejects, then
+     * exhausted retries, each in module order.
+     */
     void recordCodegenReport(const std::string &phase,
                              const CompileBatch &batch);
 
-    /** The link-phase report (same formula for both engines). */
+    /** The link-phase report: one action over every object. */
     PhaseReport makeLinkReport(
         const std::string &phase,
         const std::vector<elf::ObjectFile> &objects,
@@ -503,8 +536,6 @@ class Workflow
         const std::vector<std::string> &cached_names);
 
     const std::vector<elf::ObjectFile> &phase2Objects();
-    void ensurePhase4();
-    void ensureVerify();
 
     /** How deep into the relink chain a task-graph run must reach. */
     enum class RelinkStage { Wpa, Link, Verify };
@@ -513,9 +544,10 @@ class Workflow
      * Build and run one task graph covering every unmemoized relink
      * stage up to @p target (WPA layout fan-out, per-module codegen,
      * link assembly, per-range and per-function verification), then
-     * record the classic PhaseReports — with the same barrier
-     * formulas, so reports are mode-identical — plus "relink.graph" and
-     * the ScheduleReport.
+     * record the per-phase PhaseReports — each phase's makespan by its
+     * own formula, as if the phases ran one after another — plus
+     * "relink.graph" and the ScheduleReport.  A no-op when every stage
+     * up to @p target is memoized.
      */
     void runRelinkGraph(RelinkStage target);
     core::LayoutOptions defaultLayoutOptions() const;
@@ -530,6 +562,8 @@ class Workflow
     std::map<std::string, PhaseReport> reports_;
 
     std::optional<ir::Program> program_;
+    /** Computed once, by whichever codegen action asks first. */
+    mutable std::once_flag moduleHashesOnce_;
     mutable std::vector<uint64_t> moduleHashes_;
     std::optional<std::vector<elf::ObjectFile>> phase2Objects_;
     std::optional<linker::Executable> baseline_;

@@ -397,19 +397,12 @@ interProceduralLayout(const Ctx &ctx, LayoutResult &result)
 
 struct LayoutContext::Impl
 {
-    LayoutOptions effective;
+    LayoutOptions opts; ///< Owned: ctx keeps a reference.
     Ctx ctx;
 
-    static LayoutOptions
-    fold(LayoutOptions opts)
-    {
-        opts.extTsp.referenceSolver |= opts.referenceSolver;
-        return opts;
-    }
-
     Impl(const WholeProgramDcfg &dcfg, const AddrMapIndex &index,
-         const LayoutOptions &opts)
-        : effective(fold(opts)), ctx(dcfg, index, effective)
+         const LayoutOptions &o)
+        : opts(o), ctx(dcfg, index, opts)
     {
     }
 };
@@ -458,9 +451,7 @@ computeLayout(const WholeProgramDcfg &dcfg, const AddrMapIndex &index,
               const LayoutOptions &opts, unsigned jobs)
 {
     LayoutResult result;
-    LayoutOptions effective = opts;
-    effective.extTsp.referenceSolver |= opts.referenceSolver;
-    Ctx ctx(dcfg, index, effective);
+    Ctx ctx(dcfg, index, opts);
     if (opts.interProcedural) {
         interProceduralLayout(ctx, result);
     } else {
@@ -512,7 +503,6 @@ layoutOptionsFingerprint(const LayoutOptions &opts)
     h = hashCombine(h, opts.reorderBlocks ? 1 : 0);
     // The solver knobs change the search, and therefore the stats a
     // memoized layout must reproduce, even where the final order ties.
-    h = hashCombine(h, opts.referenceSolver ? 1 : 0);
     h = hashCombine(h, opts.extTsp.referenceSolver ? 1 : 0);
     h = hashCombine(h, opts.extTsp.legacyRescore ? 1 : 0);
     h = hashCombine(h, opts.extTsp.maxSplitChainLen);

@@ -58,18 +58,14 @@ struct LayoutOptions
     bool reorderBlocks = true;
 
     /**
-     * Use the full-scan reference retrieval in the Ext-TSP solver instead
-     * of the lazy heap (see ExtTspOptions::referenceSolver).  Both paths
-     * must produce byte-identical cc_prof/ld_prof; this knob exists so
-     * tests can prove it end to end.
+     * Solver knobs, including the full-scan reference retrieval
+     * (ExtTspOptions::referenceSolver) that tests hold the lazy heap to.
      *
      * Note there is deliberately no thread knob here: concurrency is
      * owned by the scheduler/workflow layer (`WorkloadConfig::jobs`,
      * CLI `--jobs`) and passed as an explicit `jobs` argument to the
      * entry points below, so one setting governs every parallel stage.
      */
-    bool referenceSolver = false;
-
     ExtTspOptions extTsp;
 };
 
@@ -144,9 +140,10 @@ bool decodeFunctionLayout(const std::vector<uint8_t> &bytes,
 
 /**
  * Decomposed intra-procedural layout: each function's Ext-TSP problem is
- * independent, so callers (the task-graph relink engine, the barrier
- * parallelFor loop) can run `layoutFunction` per function on any thread
- * and in any order, then `merge` the slots in function order.  The
+ * independent, so callers (the task-graph relink engine, the
+ * parallelFor loop of runWholeProgramAnalysis) can run `layoutFunction`
+ * per function on any thread and in any order, then `merge` the slots
+ * in function order.  The
  * merged result is byte-identical to a serial run by construction.
  *
  * Only valid for the intra-procedural strategy; the inter-procedural

@@ -333,9 +333,9 @@ runWholeProgramAnalysis(const linker::Executable &metadata_exe,
     if (opts.interProcedural)
         return pipeline.finishMonolithic(meter);
 
-    // The barrier path: fan the per-function loop over the thread pool,
-    // merge in function order.  Byte-identical to the task-graph path,
-    // which runs the same stages as graph tasks.
+    // The serial composition: fan the per-function loop over the thread
+    // pool, merge in function order.  Byte-identical to the relink's
+    // task graph, which runs the same stages as graph tasks.
     std::vector<FunctionLayout> slots(pipeline.functionCount());
     parallelFor(jobs, slots.size(),
                 [&](size_t f) { slots[f] = pipeline.layoutFunction(f); });

@@ -59,7 +59,7 @@ struct WpaResult
 };
 
 /**
- * Phase 3 decomposed into schedulable stages, shared by the barrier
+ * Phase 3 decomposed into schedulable stages, shared by the serial
  * entry point below and the task-graph relink engine so both produce
  * byte-identical artifacts and identical stats by construction:
  *

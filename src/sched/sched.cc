@@ -39,7 +39,6 @@ struct ExecState
     using Entry = std::pair<double, TaskId>; // (rank, id)
 
     TaskGraph *graph = nullptr;
-    bool fifo = false;
     std::atomic<size_t> remaining{0};
     std::atomic<bool> failed{false};
     std::mutex errorMu;
@@ -48,9 +47,8 @@ struct ExecState
     struct WorkerQueue
     {
         std::mutex mu;
-        /** Priority mode: ascending rank (owner pops the back = the
-         *  highest rank, thieves take the low-rank front). FIFO mode:
-         *  plain release order (owner LIFO from the back). */
+        /** Ascending rank: the owner pops the back (the highest
+         *  rank), thieves take the low-rank front. */
         std::deque<Entry> q;
     };
     std::vector<WorkerQueue> queues;
@@ -60,19 +58,14 @@ struct ExecState
     std::atomic<uint64_t> stealAttempts{0};
     std::vector<double> idleSec;
 
-    ExecState(TaskGraph &g, size_t workers, bool fifoQueues)
-        : graph(&g), fifo(fifoQueues), queues(workers),
-          idleSec(workers, 0.0)
+    ExecState(TaskGraph &g, size_t workers)
+        : graph(&g), queues(workers), idleSec(workers, 0.0)
     {
     }
 
     void
     insertSorted(std::deque<Entry> &q, Entry e)
     {
-        if (fifo) {
-            q.push_back(e);
-            return;
-        }
         auto pos = std::upper_bound(
             q.begin(), q.end(), e.first,
             [](double rank, const Entry &other) {
@@ -103,10 +96,9 @@ struct ExecState
     }
 
     /**
-     * Steal half of a victim's deque from the front — the oldest tasks
-     * in FIFO mode, the lowest-rank tasks in priority mode (the owner
-     * keeps the critical path) — keep one to run and queue the rest
-     * locally.
+     * Steal half of a victim's deque from the front — its lowest-rank
+     * tasks (the owner keeps the critical path) — keep one to run and
+     * queue the rest locally.
      */
     bool
     trySteal(size_t thief, Entry &out)
@@ -502,7 +494,7 @@ Scheduler::run(TaskGraph &graph)
     ScheduleReport report;
     report.realThreads = threads;
 
-    detail::ExecState state(graph, threads, opts_.fifoQueues);
+    detail::ExecState state(graph, threads);
     state.remaining.store(tasks.size(), std::memory_order_relaxed);
     graph.exec_ = &state;
     // Seed the roots round-robin across worker deques, in id order,

@@ -5,8 +5,7 @@
  * @file
  * Work-stealing task-graph scheduler for the relink pipeline.
  *
- * The engine separates two concerns that the phase-barriered Workflow
- * conflated:
+ * The engine separates two concerns:
  *
  *  - **Real execution.** Tasks run on a pool of workers with per-worker
  *    deques ordered by critical-path priority (upward rank): owners pop
@@ -14,9 +13,7 @@
  *    the front, so the longest dependency chains drain first and the
  *    makespan tracks the critical-path bound. A task becomes runnable
  *    the moment its last dependency completes — topological release, no
- *    phase barriers. `SchedulerOptions::fifoQueues` keeps the original
- *    FIFO/LIFO deque discipline as an ablation. Wall-clock speedup
- *    comes from here.
+ *    phase barriers. Wall-clock speedup comes from here.
  *
  *  - **Modelled time.** Steal order is nondeterministic, so modelled
  *    spans and makespan are produced by a deterministic virtual-time
@@ -239,11 +236,6 @@ struct SchedulerOptions
     unsigned threads = 0;
     /** Virtual workers for the deterministic schedule model. */
     unsigned modelWorkers = 8;
-    /**
-     * Ablation: plain FIFO-release deques (owner LIFO, steal oldest)
-     * instead of critical-path-priority ordering.
-     */
-    bool fifoQueues = false;
 };
 
 /**

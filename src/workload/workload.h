@@ -108,22 +108,6 @@ struct WorkloadConfig
      */
     unsigned jobs = 0;
 
-    /**
-     * Run the relink phases as a sequence of barrier-synchronized
-     * parallel loops (the pre-task-graph engine) instead of the
-     * work-stealing task graph.  Kept for ablation; artifacts are
-     * byte-identical either way.
-     */
-    bool barrierScheduler = false;
-
-    /**
-     * Task-graph engine only: run worker queues in FIFO order instead
-     * of critical-path priority order.  Kept for ablation and for the
-     * scheduling-policy identity property tests; artifacts are
-     * byte-identical either way.
-     */
-    bool fifoScheduler = false;
-
     /** Paper Table 2 values for this benchmark (for the bench printout). */
     std::string paperText;
     std::string paperFuncs;

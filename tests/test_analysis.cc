@@ -398,60 +398,54 @@ TEST(Verifier, IndependentRelinksMatchShippedAndVerifiedImages)
 {
     enum class Faults { None, AddrMap, PoisonedCache };
     for (unsigned jobs : {1u, 8u}) {
-        for (bool barrier : {false, true}) {
-            for (Faults faults :
-                 {Faults::None, Faults::AddrMap, Faults::PoisonedCache}) {
-                std::string what =
-                    "jobs=" + std::to_string(jobs) +
-                    (barrier ? " barrier" : " taskgraph") + " faults=" +
-                    std::to_string(static_cast<int>(faults));
-                workload::WorkloadConfig cfg = verifyConfig(jobs);
-                cfg.barrierScheduler = barrier;
-                buildsys::Workflow wf(cfg);
-                faultinject::FaultInjector injector(
-                    faultinject::parseFaultSpec("addrmap=0.25").value());
-                PoisonCachedAddrMaps poison;
-                if (faults == Faults::AddrMap)
-                    wf.setFaultHooks(&injector);
-                if (faults == Faults::PoisonedCache)
-                    wf.setFaultHooks(&poison);
-                EXPECT_TRUE(wf.verifyReport().clean())
-                    << what << "\n"
-                    << wf.verifyReport().engine.renderText();
+        for (Faults faults :
+             {Faults::None, Faults::AddrMap, Faults::PoisonedCache}) {
+            std::string what = "jobs=" + std::to_string(jobs) +
+                               " faults=" +
+                               std::to_string(static_cast<int>(faults));
+            workload::WorkloadConfig cfg = verifyConfig(jobs);
+            buildsys::Workflow wf(cfg);
+            faultinject::FaultInjector injector(
+                faultinject::parseFaultSpec("addrmap=0.25").value());
+            PoisonCachedAddrMaps poison;
+            if (faults == Faults::AddrMap)
+                wf.setFaultHooks(&injector);
+            if (faults == Faults::PoisonedCache)
+                wf.setFaultHooks(&poison);
+            EXPECT_TRUE(wf.verifyReport().clean())
+                << what << "\n"
+                << wf.verifyReport().engine.renderText();
 
-                linker::Options opts;
-                opts.outputName = cfg.name + ".po";
-                opts.entrySymbol = wf.program().entryFunction;
-                opts.hugePagesText = cfg.hugePages;
-                opts.symbolOrder = wf.wpa().ldProf.symbolOrder;
-                opts.stripAddrMaps = true;
-                linker::LinkStats po_stats;
-                linker::Executable po =
-                    linker::link(wf.phase4Objects(), opts, &po_stats);
-                opts.outputName = cfg.name + ".po-verify";
-                opts.stripAddrMaps = false;
-                linker::LinkStats twin_stats;
-                linker::Executable twin =
-                    linker::link(wf.phase4Objects(), opts, &twin_stats);
+            linker::Options opts;
+            opts.outputName = cfg.name + ".po";
+            opts.entrySymbol = wf.program().entryFunction;
+            opts.hugePagesText = cfg.hugePages;
+            opts.symbolOrder = wf.wpa().ldProf.symbolOrder;
+            opts.stripAddrMaps = true;
+            linker::LinkStats po_stats;
+            linker::Executable po =
+                linker::link(wf.phase4Objects(), opts, &po_stats);
+            opts.outputName = cfg.name + ".po-verify";
+            opts.stripAddrMaps = false;
+            linker::LinkStats twin_stats;
+            linker::Executable twin =
+                linker::link(wf.phase4Objects(), opts, &twin_stats);
 
-                expectSameImage(po, wf.propellerBinary(), what + " PO");
-                expectSameImage(twin, wf.verifiedBinary(),
-                                what + " verified image");
+            expectSameImage(po, wf.propellerBinary(), what + " PO");
+            expectSameImage(twin, wf.verifiedBinary(),
+                            what + " verified image");
 
-                std::vector<std::string> want;
-                for (const std::string &name : po_stats.quarantined)
-                    want.push_back("function quarantined: " + name);
-                const buildsys::PhaseReport &link =
-                    wf.report("phase4.link");
-                EXPECT_EQ(link.failures, want) << what;
-                EXPECT_EQ(link.quarantined, po_stats.quarantinedFunctions)
-                    << what;
-                EXPECT_EQ(link.peakActionMemory, po_stats.peakMemory)
-                    << what;
-                if (faults == Faults::PoisonedCache) {
-                    EXPECT_GT(twin_stats.addrMapsRejected, 0u)
-                        << what << ": no kept map was rejected";
-                }
+            std::vector<std::string> want;
+            for (const std::string &name : po_stats.quarantined)
+                want.push_back("function quarantined: " + name);
+            const buildsys::PhaseReport &link = wf.report("phase4.link");
+            EXPECT_EQ(link.failures, want) << what;
+            EXPECT_EQ(link.quarantined, po_stats.quarantinedFunctions)
+                << what;
+            EXPECT_EQ(link.peakActionMemory, po_stats.peakMemory) << what;
+            if (faults == Faults::PoisonedCache) {
+                EXPECT_GT(twin_stats.addrMapsRejected, 0u)
+                    << what << ": no kept map was rejected";
             }
         }
     }

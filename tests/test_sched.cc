@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -35,13 +36,11 @@ using sched::TaskGraph;
 using sched::TaskId;
 
 ScheduleReport
-runWith(TaskGraph &graph, unsigned threads, unsigned model_workers = 8,
-        bool fifo = false)
+runWith(TaskGraph &graph, unsigned threads, unsigned model_workers = 8)
 {
     SchedulerOptions opts;
     opts.threads = threads;
     opts.modelWorkers = model_workers;
-    opts.fifoQueues = fifo;
     return Scheduler(opts).run(graph);
 }
 
@@ -238,7 +237,7 @@ struct PropertyOutcome
 };
 
 PropertyOutcome
-runRandomDag(uint64_t seed, unsigned threads, bool fifo = false)
+runRandomDag(uint64_t seed, unsigned threads)
 {
     // Deterministic per-seed structure: ~36 tasks, each depending on up
     // to 3 earlier tasks.
@@ -279,7 +278,7 @@ runRandomDag(uint64_t seed, unsigned threads, bool fifo = false)
             g.addEdge(ids[d], ids[i]);
     }
 
-    ScheduleReport rep = runWith(g, threads, 8, fifo);
+    ScheduleReport rep = runWith(g, threads, 8);
     PropertyOutcome out;
     out.resultHash = 0xcbf29ce484222325ull;
     for (uint64_t v : value)
@@ -310,26 +309,6 @@ TEST(SchedulerProperty, HundredSeedsIdenticalAcrossWorkerCounts)
     }
 }
 
-TEST(SchedulerProperty, HundredSeedsFifoMatchesPriority)
-{
-    // Queue policy (critical-path priority vs FIFO) changes only the
-    // real-time execution order, never the data a DAG computes, the
-    // attribution transcript, or the virtual-time model.
-    for (uint64_t seed = 1; seed <= 100; ++seed) {
-        PropertyOutcome pri = runRandomDag(seed, 8, /*fifo=*/false);
-        for (unsigned threads : {1u, 2u, 8u}) {
-            PropertyOutcome fifo = runRandomDag(seed, threads, true);
-            ASSERT_EQ(fifo.resultHash, pri.resultHash)
-                << "seed " << seed << " threads " << threads;
-            ASSERT_EQ(fifo.transcript, pri.transcript)
-                << "seed " << seed << " threads " << threads;
-            ASSERT_DOUBLE_EQ(fifo.makespanSec, pri.makespanSec)
-                << "seed " << seed << " threads " << threads;
-            ASSERT_EQ(fifo.tasksExecuted, pri.tasksExecuted);
-        }
-    }
-}
-
 // ---- Workflow-level identity ------------------------------------------
 
 /** Everything the relink engine ships, for equality comparison. */
@@ -345,13 +324,11 @@ struct EngineOutput
 };
 
 EngineOutput
-runEngine(unsigned jobs, bool barrier, bool faults, bool fifo = false)
+runEngine(unsigned jobs, bool faults)
 {
     workload::WorkloadConfig cfg = test::smallConfig(91);
     cfg.name = "schedtest";
     cfg.jobs = jobs;
-    cfg.barrierScheduler = barrier;
-    cfg.fifoScheduler = fifo;
 
     faultinject::FaultSpec spec;
     spec.seed = 23;
@@ -375,20 +352,46 @@ runEngine(unsigned jobs, bool barrier, bool faults, bool fifo = false)
     return out;
 }
 
-TEST(EngineIdentity, TaskGraphMatchesBarrierEngine)
+TEST(EngineIdentity, TaskGraphMatchesSerialComposition)
 {
-    // The ablation contract: both engines ship the same bytes, the same
-    // failure attribution and the same modelled phase accounting.
-    for (bool faults : {false, true}) {
-        EngineOutput graph = runEngine(4, false, faults);
-        EngineOutput barrier = runEngine(4, true, faults);
-        EXPECT_EQ(graph.text, barrier.text) << "faults=" << faults;
-        EXPECT_EQ(graph.verifyText, barrier.verifyText);
-        EXPECT_EQ(graph.codegenFailures, barrier.codegenFailures);
-        EXPECT_EQ(graph.linkFailures, barrier.linkFailures);
-        EXPECT_DOUBLE_EQ(graph.codegenMakespan, barrier.codegenMakespan);
-        EXPECT_EQ(graph.retries, barrier.retries);
-        EXPECT_EQ(graph.cacheCorruptions, barrier.cacheCorruptions);
+    // The relink graph runs the WPA stages, the codegen actions and the
+    // link as overlapping tasks; the serial composition behind
+    // propellerBinaryWith() (runWholeProgramAnalysis, compileModules,
+    // one link) runs them one after another.  Both must ship the same
+    // bytes and the same Phase 3 artifacts and statistics.  Separate
+    // workflows, so neither side is served the other's objects.
+    for (const char *name : {"mysql", "clang"}) {
+        for (unsigned jobs : {1u, 4u}) {
+            workload::WorkloadConfig cfg = workload::configByName(name);
+            cfg.jobs = jobs;
+            std::string what =
+                std::string(name) + " jobs=" + std::to_string(jobs);
+            buildsys::Workflow wf(cfg);
+            const linker::Executable &graph_po = wf.propellerBinary();
+            const core::WpaResult &graph = wf.wpa();
+            buildsys::Workflow serial_wf(cfg);
+            core::WpaResult serial;
+            linker::Executable po = serial_wf.propellerBinaryWith(
+                core::LayoutOptions{}, &serial);
+
+            EXPECT_EQ(graph_po.text, po.text) << what;
+            EXPECT_EQ(graph.ccProf.serialize(), serial.ccProf.serialize())
+                << what;
+            EXPECT_EQ(graph.ldProf.serialize(), serial.ldProf.serialize())
+                << what;
+            EXPECT_EQ(graph.hotFunctions, serial.hotFunctions) << what;
+            EXPECT_EQ(graph.stats.peakMemory, serial.stats.peakMemory)
+                << what;
+            EXPECT_EQ(graph.stats.extTsp.finalScore,
+                      serial.stats.extTsp.finalScore)
+                << what;
+            EXPECT_EQ(graph.stats.extTsp.candidateEvals,
+                      serial.stats.extTsp.candidateEvals)
+                << what;
+            EXPECT_EQ(graph.stats.extTsp.merges,
+                      serial.stats.extTsp.merges)
+                << what;
+        }
     }
 }
 
@@ -397,9 +400,9 @@ TEST(EngineIdentity, TaskGraphIdenticalAcrossJobCounts)
     // Under fault injection (cache rot + transient action failures) the
     // attribution lines and retry accounting must not depend on which
     // worker got where first.
-    EngineOutput base = runEngine(1, false, true);
+    EngineOutput base = runEngine(1, true);
     for (unsigned jobs : {2u, 8u}) {
-        EngineOutput got = runEngine(jobs, false, true);
+        EngineOutput got = runEngine(jobs, true);
         EXPECT_EQ(got.text, base.text) << "jobs " << jobs;
         EXPECT_EQ(got.verifyText, base.verifyText) << "jobs " << jobs;
         EXPECT_EQ(got.codegenFailures, base.codegenFailures);
@@ -410,24 +413,56 @@ TEST(EngineIdentity, TaskGraphIdenticalAcrossJobCounts)
     }
 }
 
-TEST(EngineIdentity, FifoQueuesShipIdenticalArtifacts)
+TEST(EngineIdentity, ExhaustedRetriesRunOnCoordinator)
 {
-    // The scheduling-policy ablation: FIFO worker queues vs
-    // critical-path priority queues must ship the same bytes and the
-    // same failure attribution at every job count, with and without
-    // fault injection.
-    for (bool faults : {false, true}) {
-        EngineOutput pri = runEngine(8, false, faults, /*fifo=*/false);
-        for (unsigned jobs : {1u, 2u, 8u}) {
-            EngineOutput fifo = runEngine(jobs, false, faults, true);
-            EXPECT_EQ(fifo.text, pri.text)
-                << "faults=" << faults << " jobs=" << jobs;
-            EXPECT_EQ(fifo.verifyText, pri.verifyText);
-            EXPECT_EQ(fifo.codegenFailures, pri.codegenFailures);
-            EXPECT_EQ(fifo.linkFailures, pri.linkFailures);
-            EXPECT_DOUBLE_EQ(fifo.codegenMakespan, pri.codegenMakespan);
-            EXPECT_EQ(fifo.retries, pri.retries);
-            EXPECT_EQ(fifo.cacheCorruptions, pri.cacheCorruptions);
+    // Every attempt of every executed codegen action fails, so each
+    // exhausts its retry budget and falls back to the coordinator: the
+    // build degrades in makespan, never in output.  Phase 2 and the
+    // relink share one commit, so both report the same way.
+    struct AlwaysFail : buildsys::FaultHooks
+    {
+        bool
+        failAction(const std::string &, uint32_t) override
+        {
+            return true;
+        }
+    };
+    const std::string kLine = "retries exhausted, ran on coordinator: ";
+
+    workload::WorkloadConfig cfg = workload::configByName("mysql");
+    cfg.jobs = 4;
+    buildsys::Workflow clean(cfg);
+    const std::vector<uint8_t> &want_text = clean.propellerBinary().text;
+
+    for (unsigned jobs : {1u, 4u}) {
+        cfg.jobs = jobs;
+        buildsys::Workflow wf(cfg);
+        AlwaysFail hooks;
+        wf.setFaultHooks(&hooks);
+        EXPECT_EQ(wf.propellerBinary().text, want_text) << "jobs " << jobs;
+
+        // One line per executed action, in module order: Phase 2 runs
+        // every module, the relink every module that missed the cache.
+        const std::set<std::string> cold(wf.coldObjects().begin(),
+                                         wf.coldObjects().end());
+        std::vector<std::string> want2, want4;
+        const ir::Program &prog = wf.program();
+        for (size_t i = 0; i < prog.modules.size(); ++i) {
+            want2.push_back(kLine + prog.modules[i]->name);
+            if (cold.count(wf.phase4Objects()[i].name) == 0)
+                want4.push_back(kLine + prog.modules[i]->name);
+        }
+        const uint32_t attempts = wf.limits().maxActionRetries + 1;
+        for (const auto &[phase, want] :
+             {std::pair{"phase2.codegen", want2},
+              std::pair{"phase4.codegen", want4}}) {
+            const buildsys::PhaseReport &got = wf.report(phase);
+            EXPECT_GT(got.actions, 0u) << phase;
+            EXPECT_EQ(got.failures, want) << phase << " jobs " << jobs;
+            EXPECT_EQ(got.actions, want.size()) << phase;
+            EXPECT_EQ(got.retries, got.actions * attempts) << phase;
+            EXPECT_GT(got.makespanSec, clean.report(phase).makespanSec)
+                << phase;
         }
     }
 }

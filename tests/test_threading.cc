@@ -177,7 +177,7 @@ TEST(ThreadingDeterminism, ReferenceSolverArtifactsIdenticalAtAnyThreads)
         buildsys::Workflow wf(cfg);
         for (bool reference : {false, true}) {
             core::LayoutOptions opts;
-            opts.referenceSolver = reference;
+            opts.extTsp.referenceSolver = reference;
             core::WpaResult wpa;
             wf.propellerBinaryWith(opts, &wpa);
             std::string cc = wpa.ccProf.serialize();

@@ -73,9 +73,6 @@ namespace {
  */
 unsigned g_jobs = 0;
 
-/** --scheduler barrier: run the phase-barriered engine (ablation). */
-bool g_barrier = false;
-
 /** --backend bolt: route the verify subcommand at the BOLT output. */
 std::string g_backend = "propeller";
 
@@ -126,7 +123,6 @@ namedConfig(const std::string &name)
 {
     workload::WorkloadConfig cfg = workload::configByName(name);
     cfg.jobs = g_jobs;
-    cfg.barrierScheduler = g_barrier;
     return cfg;
 }
 
@@ -751,9 +747,6 @@ usage()
                 "                      stage: layout, codegen, link\n"
                 "                      assembly, verification\n"
                 "                      (default: all hardware threads)\n"
-                "  --scheduler S       relink engine: taskgraph (default)\n"
-                "                      or barrier (phase-barriered\n"
-                "                      ablation; identical artifacts)\n"
                 "  --backend B         verify: propeller (default) or\n"
                 "                      bolt — aim the static verifier at\n"
                 "                      the chosen optimizer's output\n"
@@ -822,17 +815,6 @@ main(int argc, char **argv)
                 return usage();
             }
             g_jobs = static_cast<unsigned>(n);
-            continue;
-        }
-        if (arg == "--scheduler" && i + 1 < argc) {
-            std::string mode = argv[++i];
-            if (mode != "taskgraph" && mode != "barrier") {
-                std::printf("propeller-cli: --scheduler expects "
-                            "'taskgraph' or 'barrier', got '%s'\n",
-                            mode.c_str());
-                return usage();
-            }
-            g_barrier = mode == "barrier";
             continue;
         }
         if (arg == "--backend" && i + 1 < argc) {

@@ -263,9 +263,8 @@ main(int argc, char **argv)
     const linker::Executable &target_exe =
         svc.versionBinary(svc.targetVersion());
     AddrMapIndex index(target_exe);
-    profile::Profile fresh_prof =
-        sim::run(target_exe, workload::profileOptions(fo_copy.base))
-            .profile;
+    profile::Profile fresh_prof = sim::collectProfile(
+        target_exe, workload::profileOptions(fo_copy.base));
     WholeProgramDcfg fresh_dcfg =
         buildDcfg(profile::aggregate(fresh_prof), index);
     WpaResult fresh = runWholeProgramAnalysis(target_exe, fresh_prof, {});

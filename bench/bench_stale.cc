@@ -174,7 +174,7 @@ main(int argc, char **argv)
     ir::Program program_a = workload::generate(cfg);
     linker::Executable exe_a = buildMetadata(program_a);
     profile::Profile prof_a =
-        sim::run(exe_a, workload::profileOptions(cfg)).profile;
+        sim::collectProfile(exe_a, workload::profileOptions(cfg));
 
     static const double kRates[] = {0.0, 0.05, 0.10, 0.25, 0.50};
     std::vector<DriftPoint> points;
@@ -196,7 +196,7 @@ main(int argc, char **argv)
 
         // Ground truth: a fresh profile of B and its layout.
         profile::Profile prof_b =
-            sim::run(exe_b, workload::profileOptions(cfg)).profile;
+            sim::collectProfile(exe_b, workload::profileOptions(cfg));
         AddrMapIndex index_b(exe_b);
         WholeProgramDcfg dcfg_b =
             buildDcfg(profile::aggregate(prof_b), index_b);

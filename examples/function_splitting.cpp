@@ -125,9 +125,8 @@ main()
     popts.maxInstructions = 300'000;
     popts.collectLbr = true;
     popts.lbrSamplePeriod = 400;
-    sim::RunResult profiled = sim::run(metadata, popts);
-    core::WpaResult wpa =
-        core::runWholeProgramAnalysis(metadata, profiled.profile);
+    profile::Profile profiled = sim::collectProfile(metadata, popts);
+    core::WpaResult wpa = core::runWholeProgramAnalysis(metadata, profiled);
 
     codegen::Options split;
     split.bbSections = codegen::BbSectionsMode::Clusters;

@@ -131,18 +131,18 @@ main()
     popts.maxInstructions = 400'000;
     popts.collectLbr = true;
     popts.lbrSamplePeriod = 300;
-    sim::RunResult profiled = sim::run(metadata, popts);
+    profile::Profile profiled = sim::collectProfile(metadata, popts);
 
     core::LayoutOptions intra;
     show("intra-procedural",
-         core::runWholeProgramAnalysis(metadata, profiled.profile, intra),
+         core::runWholeProgramAnalysis(metadata, profiled, intra),
          program);
 
     core::LayoutOptions inter;
     inter.interProcedural = true;
     inter.interProcMinRunBlocks = 1; // Keep even single-block loop runs.
     show("inter-procedural (foo split around its callees)",
-         core::runWholeProgramAnalysis(metadata, profiled.profile, inter),
+         core::runWholeProgramAnalysis(metadata, profiled, inter),
          program);
     return 0;
 }

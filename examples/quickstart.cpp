@@ -114,15 +114,13 @@ main()
     popts.maxInstructions = 200'000;
     popts.collectLbr = true;
     popts.lbrSamplePeriod = 500;
-    sim::RunResult profiled = sim::run(metadata, popts);
+    profile::Profile profiled = sim::collectProfile(metadata, popts);
     std::printf("Phase 3: collected %zu LBR samples over %llu retired "
                 "instructions\n",
-                profiled.profile.samples.size(),
-                static_cast<unsigned long long>(
-                    profiled.counters.instructions));
+                profiled.samples.size(),
+                static_cast<unsigned long long>(profiled.totalRetired));
 
-    core::WpaResult wpa =
-        core::runWholeProgramAnalysis(metadata, profiled.profile);
+    core::WpaResult wpa = core::runWholeProgramAnalysis(metadata, profiled);
     std::printf("  cc_prof.txt:\n%s", wpa.ccProf.serialize().c_str());
     std::printf("  ld_prof.txt:\n%s\n", wpa.ldProf.serialize().c_str());
 

@@ -53,6 +53,35 @@ codegenActionMemory(uint64_t insts, uint64_t object_bytes)
     return insts * 200 + object_bytes * 3;
 }
 
+/**
+ * A copy of @p image with its address maps removed, as `objcopy
+ * --remove-section .bb_addr_map` would make it: stripping never moves
+ * text, so every other field is the image's own.  The maps are moved
+ * out of @p image for the copy and back.
+ */
+linker::Executable
+strippedCopy(linker::Executable &image)
+{
+    std::vector<linker::ExecFuncMap> maps = std::move(image.bbAddrMap);
+    image.bbAddrMap.clear();
+    linker::Executable copy = image;
+    copy.sizes.bbAddrMap = 0;
+    image.bbAddrMap = std::move(maps);
+    return copy;
+}
+
+/**
+ * @p stats as the same link with every .bb_addr_map dropped reports
+ * them: a map that fails to decode never reaches a stripped link.
+ */
+linker::LinkStats
+strippedStats(linker::LinkStats stats)
+{
+    stats.addrMapsRejected = 0;
+    stats.rejectedAddrMapObjects.clear();
+    return stats;
+}
+
 } // namespace
 
 // ---- CostModel ------------------------------------------------------
@@ -422,12 +451,13 @@ Workflow::phase2Objects()
 const linker::Executable &
 Workflow::baseline()
 {
+    // One Phase-2 link serves both binaries: the baseline is the
+    // metadata binary's stripped copy, which is what a link without the
+    // maps would produce.  metadataBinary() records its report.
     if (!baseline_) {
-        linker::Options opts = linkOptions();
-        opts.outputName = config_.name + ".base";
-        opts.stripAddrMaps = true;
-        baseline_ =
-            linkWithReport(phase2Objects(), opts, "baseline.link", {});
+        metadataBinary();
+        baseline_ = strippedCopy(*metadataBinary_);
+        baseline_->name = config_.name + ".base";
     }
     return *baseline_;
 }
@@ -438,8 +468,13 @@ Workflow::metadataBinary()
     if (!metadataBinary_) {
         linker::Options opts = linkOptions();
         opts.outputName = config_.name + ".pm";
-        metadataBinary_ =
-            linkWithReport(phase2Objects(), opts, "phase2.link", {});
+        linker::LinkStats stats;
+        metadataBinary_ = linker::link(phase2Objects(), opts, &stats);
+        reports_["phase2.link"] =
+            makeLinkReport("phase2.link", phase2Objects(), stats, {});
+        reports_["baseline.link"] = makeLinkReport(
+            "baseline.link", phase2Objects(),
+            strippedStats(std::move(stats)), {});
     }
     return *metadataBinary_;
 }
@@ -528,9 +563,8 @@ const profile::Profile &
 Workflow::profile()
 {
     if (!profile_) {
-        sim::RunResult run = sim::run(metadataBinary(),
-                                      workload::profileOptions(config_));
-        profile_ = std::move(run.profile);
+        profile_ = sim::collectProfile(metadataBinary(),
+                                       workload::profileOptions(config_));
 
         PhaseReport report;
         report.phase = "phase3.collect";
@@ -619,20 +653,12 @@ Workflow::commitPhase4Link(linker::Executable image,
     // The shipped PO carries no .bb_addr_map, so a map that fails to
     // decode only thins the verification image's metadata; it never
     // reached the PO's link report and must not start to.
-    stats.addrMapsRejected = 0;
-    stats.rejectedAddrMapObjects.clear();
+    stats = strippedStats(std::move(stats));
     reports_["phase4.link"] =
         makeLinkReport("phase4.link", objects, stats, cached_names);
     poQuarantined_ = std::move(stats.quarantined);
 
-    // Ship a copy with the address maps removed, as `objcopy
-    // --remove-section .bb_addr_map` would: stripping never moves text,
-    // so every other field is the image's own.
-    std::vector<linker::ExecFuncMap> maps = std::move(image.bbAddrMap);
-    image.bbAddrMap.clear();
-    propellerBinary_ = image;
-    propellerBinary_->sizes.bbAddrMap = 0;
-    image.bbAddrMap = std::move(maps);
+    propellerBinary_ = strippedCopy(image);
     image.name = config_.name + ".po-verify";
     verifiedBinary_ = std::move(image);
 }
@@ -1287,10 +1313,10 @@ Workflow::iterativePropellerBinary()
     linker::Executable pm2 = *verifiedBinary_;
     pm2.name = config_.name + ".pm2";
 
-    sim::RunResult run =
-        sim::run(pm2, workload::profileOptions(config_));
+    profile::Profile prof2 =
+        sim::collectProfile(pm2, workload::profileOptions(config_));
     core::WpaResult wpa2 = core::runWholeProgramAnalysis(
-        pm2, run.profile, defaultLayoutOptions(), config_.jobs);
+        pm2, prof2, defaultLayoutOptions(), config_.jobs);
 
     CompileBatch batch = compileModules(&wpa2.ccProf.clusters, nullptr);
     linker::Options po2_opts = linkOptions();

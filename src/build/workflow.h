@@ -9,8 +9,9 @@
  *   Phase 1  build optimized IR, cache it (modelled);
  *   Phase 2  distributed backends with basic-block-address-map metadata,
  *            link the metadata binaries (PM with .bb_addr_map for
- *            Propeller, BM with --emit-relocs for BOLT) and the plain
- *            baseline binary — all three share one text image;
+ *            Propeller, BM with --emit-relocs for BOLT); the plain
+ *            baseline binary is PM's stripped copy — all three share one
+ *            text image;
  *   Phase 3  run the metadata binary under load collecting LBR samples,
  *            then profile conversion + whole-program analysis producing
  *            cc_prof / ld_prof;
@@ -231,10 +232,17 @@ class Workflow
     /** The program IR (Phase 1 product; generated on first use). */
     const ir::Program &program();
 
-    /** Baseline binary: Phase 2 objects linked without metadata. */
+    /**
+     * Baseline binary: the Phase 2 link without metadata, made as PM's
+     * stripped copy.  Its "baseline.link" report is what a stripped
+     * link reports: PM's link report without the map rejections.
+     */
     const linker::Executable &baseline();
 
-    /** PM: the Propeller metadata binary (.bb_addr_map kept). */
+    /**
+     * PM: the Propeller metadata binary (.bb_addr_map kept).  The one
+     * Phase 2 link; records "phase2.link" and "baseline.link".
+     */
     const linker::Executable &metadataBinary();
 
     /** BM: the BOLT metadata binary (--emit-relocs). */

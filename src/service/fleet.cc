@@ -127,7 +127,6 @@ totalVariation(const std::map<std::pair<std::string, uint32_t>, double> &a,
 /** Per-binary-version service state. */
 struct VersionState
 {
-    ir::Program program;
     linker::Executable exe; ///< Metadata binary (with .bb_addr_map).
     std::unique_ptr<core::AddrMapIndex> index;
     profile::Profile fullProfile; ///< Steady-state load profile.
@@ -235,12 +234,11 @@ FleetService::Impl::addVersion()
 {
     const auto v = static_cast<uint32_t>(versions.size());
     VersionState vs;
-    vs.program = makeVersionProgram(opts, v);
     buildsys::Workflow wf(opts.base);
     wf.overrideProgram(makeVersionProgram(opts, v));
     vs.exe = wf.metadataBinary();
     vs.fullProfile =
-        sim::run(vs.exe, workload::profileOptions(opts.base)).profile;
+        sim::collectProfile(vs.exe, workload::profileOptions(opts.base));
     PROPELLER_CHECK(vs.fullProfile.binaryHash == vs.exe.identityHash,
                     "profiler stamped the wrong binary identity");
     vs.agg = profile::DecayedAggregate(opts.decayWindow);
@@ -984,12 +982,6 @@ const linker::Executable &
 FleetService::versionBinary(uint32_t v) const
 {
     return impl_->versions.at(v).exe;
-}
-
-const ir::Program &
-FleetService::versionProgram(uint32_t v) const
-{
-    return impl_->versions.at(v).program;
 }
 
 } // namespace propeller::fleet

@@ -451,9 +451,6 @@ class FleetService
     /** Version @p v's metadata binary (profiling target). */
     const linker::Executable &versionBinary(uint32_t v) const;
 
-    /** Version @p v's generated-then-drifted program. */
-    const ir::Program &versionProgram(uint32_t v) const;
-
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_;

@@ -1,11 +1,10 @@
 #include "sim/machine.h"
 
-#include <cassert>
-
 #include "isa/isa.h"
 #include "sim/branch_pred.h"
 #include "sim/caches.h"
 #include "sim/itlb.h"
+#include "support/check.h"
 #include "support/hash.h"
 #include "support/rng.h"
 
@@ -70,17 +69,23 @@ verifyIntegrity(const linker::Executable &exe)
     return true;
 }
 
-} // namespace
-
-RunResult
-run(const linker::Executable &exe, const MachineOptions &opts)
+/**
+ * The machine loop, instantiated timed (sim::run) and timing-free
+ * (sim::collectProfile).  Only the frontend model is conditional: decode,
+ * the fault and halt checks, branch directions, the call stack, the LBR
+ * ring and the sampler are shared, so both instantiations retire the same
+ * stream and take the same samples.  The timing-free one constructs the
+ * model's structures but never touches them.
+ */
+template <bool kTimed>
+void
+execute(const linker::Executable &exe, const MachineOptions &opts,
+        RunResult &result)
 {
-    RunResult result;
-
     // ---- Startup: FIPS-style known-answer integrity checks -------------
     if (!verifyIntegrity(exe)) {
         result.startupOk = false;
-        return result;
+        return;
     }
 
     const UarchConfig &uc = opts.uarch;
@@ -200,63 +205,67 @@ run(const linker::Executable &exe, const MachineOptions &opts)
         }
         const uint64_t len = inst.size();
 
-        // ---- Frontend model ---------------------------------------------
         ++ctr.instructions;
         if (inst.op != Opcode::Nop && !inst.isUncondBranch() &&
             !inst.isPrefetch()) {
             ++ctr.logicalInstructions;
         }
-        ctr.quarterCycles += uc.baseQuarterCyclesPerInst;
 
-        if (opts.recordHeatMap) {
-            uint64_t ab = offset / heat_addr_div;
-            uint64_t tb = (ctr.logicalInstructions > 0
-                               ? ctr.logicalInstructions - 1
-                               : 0) /
-                          heat_time_div;
-            if (ab < opts.heatAddrBuckets && tb < opts.heatTimeBuckets)
-                ++result.heatMap[ab][tb];
-        }
+        // ---- Frontend model ---------------------------------------------
+        if constexpr (kTimed) {
+            ctr.quarterCycles += uc.baseQuarterCyclesPerInst;
 
-        ++ctr.dsbAccesses;
-        if (!dsb.access(pc)) {
-            ++ctr.dsbMisses;
-            ctr.quarterCycles += uc.dsbMissPenalty;
-        }
-
-        if (!l1i.access(pc)) {
-            ++ctr.l1iMisses;
-            if (l2.access(pc)) {
-                ctr.quarterCycles += uc.l2HitPenalty;
-                ctr.fetchStallQC += uc.l2HitPenalty;
-            } else {
-                ++ctr.l2CodeMisses;
-                ctr.quarterCycles += uc.memPenalty;
-                ctr.fetchStallQC += uc.memPenalty;
+            if (opts.recordHeatMap) {
+                uint64_t ab = offset / heat_addr_div;
+                uint64_t tb = (ctr.logicalInstructions > 0
+                                   ? ctr.logicalInstructions - 1
+                                   : 0) /
+                              heat_time_div;
+                if (ab < opts.heatAddrBuckets && tb < opts.heatTimeBuckets)
+                    ++result.heatMap[ab][tb];
             }
-        }
-        // An instruction straddling a cache line touches the next line too.
-        if ((pc & 63) + len > 64 && !l1i.access(pc + len - 1)) {
-            ++ctr.l1iMisses;
-            if (l2.access(pc + len - 1)) {
-                ctr.quarterCycles += uc.l2HitPenalty;
-                ctr.fetchStallQC += uc.l2HitPenalty;
-            } else {
-                ++ctr.l2CodeMisses;
-                ctr.quarterCycles += uc.memPenalty;
-                ctr.fetchStallQC += uc.memPenalty;
-            }
-        }
 
-        ItlbResult tlb = itlb.access(pc, exe.hugePagesText);
-        if (tlb.l1Miss) {
-            ++ctr.itlbMisses;
-            if (tlb.stlbMiss) {
-                ++ctr.itlbStallMisses;
-                ctr.quarterCycles += uc.walkPenalty;
-                ctr.fetchStallQC += uc.walkPenalty;
-            } else {
-                ctr.quarterCycles += uc.stlbHitPenalty;
+            ++ctr.dsbAccesses;
+            if (!dsb.access(pc)) {
+                ++ctr.dsbMisses;
+                ctr.quarterCycles += uc.dsbMissPenalty;
+            }
+
+            if (!l1i.access(pc)) {
+                ++ctr.l1iMisses;
+                if (l2.access(pc)) {
+                    ctr.quarterCycles += uc.l2HitPenalty;
+                    ctr.fetchStallQC += uc.l2HitPenalty;
+                } else {
+                    ++ctr.l2CodeMisses;
+                    ctr.quarterCycles += uc.memPenalty;
+                    ctr.fetchStallQC += uc.memPenalty;
+                }
+            }
+            // An instruction straddling a cache line touches the next line
+            // too.
+            if ((pc & 63) + len > 64 && !l1i.access(pc + len - 1)) {
+                ++ctr.l1iMisses;
+                if (l2.access(pc + len - 1)) {
+                    ctr.quarterCycles += uc.l2HitPenalty;
+                    ctr.fetchStallQC += uc.l2HitPenalty;
+                } else {
+                    ++ctr.l2CodeMisses;
+                    ctr.quarterCycles += uc.memPenalty;
+                    ctr.fetchStallQC += uc.memPenalty;
+                }
+            }
+
+            ItlbResult tlb = itlb.access(pc, exe.hugePagesText);
+            if (tlb.l1Miss) {
+                ++ctr.itlbMisses;
+                if (tlb.stlbMiss) {
+                    ++ctr.itlbStallMisses;
+                    ctr.quarterCycles += uc.walkPenalty;
+                    ctr.fetchStallQC += uc.walkPenalty;
+                } else {
+                    ctr.quarterCycles += uc.stlbHitPenalty;
+                }
             }
         }
 
@@ -272,7 +281,7 @@ run(const linker::Executable &exe, const MachineOptions &opts)
             break;
           case Opcode::Load:
           case Opcode::Store: {
-            if (!opts.modelDataCache)
+            if (!kTimed || !opts.modelDataCache)
                 break;
             uint16_t site = static_cast<uint16_t>(inst.imm);
             uint64_t occ = site_occurrence[site]++;
@@ -291,7 +300,7 @@ run(const linker::Executable &exe, const MachineOptions &opts)
           }
           case Opcode::Prefetch: {
             ++ctr.prefetchesIssued;
-            if (opts.modelDataCache) {
+            if (kTimed && opts.modelDataCache) {
                 // Warm the line the site will touch `reg` accesses from
                 // now; non-blocking, no stall.
                 uint16_t site = static_cast<uint16_t>(inst.imm);
@@ -313,7 +322,7 @@ run(const linker::Executable &exe, const MachineOptions &opts)
             call_stack.pop_back();
             taken_transfer = true;
             // Return stack prediction; misses behave like mispredicts.
-            if (!bp.popReturn(transfer_target)) {
+            if (kTimed && !bp.popReturn(transfer_target)) {
                 ++ctr.mispredicts;
                 ctr.quarterCycles += uc.mispredictPenalty;
             }
@@ -324,10 +333,12 @@ run(const linker::Executable &exe, const MachineOptions &opts)
             transfer_target = pc + len + static_cast<int64_t>(inst.rel);
             taken_transfer = true;
             call_stack.push_back(pc + len);
-            bp.pushReturn(pc + len);
-            if (!bp.btbAccess(pc)) {
-                ++ctr.baclears;
-                ctr.quarterCycles += uc.baclearPenalty;
+            if constexpr (kTimed) {
+                bp.pushReturn(pc + len);
+                if (!bp.btbAccess(pc)) {
+                    ++ctr.baclears;
+                    ctr.quarterCycles += uc.baclearPenalty;
+                }
             }
             break;
           }
@@ -336,7 +347,7 @@ run(const linker::Executable &exe, const MachineOptions &opts)
             ++ctr.jumpsRetired;
             transfer_target = pc + len + static_cast<int64_t>(inst.rel);
             taken_transfer = true;
-            if (!bp.btbAccess(pc)) {
+            if (kTimed && !bp.btbAccess(pc)) {
                 ++ctr.baclears;
                 ctr.quarterCycles += uc.baclearPenalty;
             }
@@ -358,19 +369,20 @@ run(const linker::Executable &exe, const MachineOptions &opts)
             ++occ;
             bool taken = logical ^ ((inst.flags & isa::kJccInvert) != 0);
 
-            bool predicted = bp.predictConditional(pc);
-            if (predicted != taken) {
-                ++ctr.mispredicts;
-                ctr.quarterCycles += uc.mispredictPenalty;
+            if constexpr (kTimed) {
+                if (bp.predictConditional(pc) != taken) {
+                    ++ctr.mispredicts;
+                    ctr.quarterCycles += uc.mispredictPenalty;
+                }
+                bp.updateConditional(pc, taken);
             }
-            bp.updateConditional(pc, taken);
 
             if (taken) {
                 ++ctr.condTaken;
                 transfer_target =
                     pc + len + static_cast<int64_t>(inst.rel);
                 taken_transfer = true;
-                if (!bp.btbAccess(pc)) {
+                if (kTimed && !bp.btbAccess(pc)) {
                     ++ctr.baclears;
                     ctr.quarterCycles += uc.baclearPenalty;
                 }
@@ -399,7 +411,28 @@ run(const linker::Executable &exe, const MachineOptions &opts)
     }
 
     result.profile.totalRetired = ctr.instructions;
+}
+
+} // namespace
+
+RunResult
+run(const linker::Executable &exe, const MachineOptions &opts)
+{
+    RunResult result;
+    execute<true>(exe, opts, result);
     return result;
+}
+
+profile::Profile
+collectProfile(const linker::Executable &exe, const MachineOptions &opts)
+{
+    PROPELLER_CHECK(!opts.recordHeatMap && !opts.modelDataCache &&
+                        !opts.collectMissProfile,
+                    "heat maps and the data side need sim::run's timing "
+                    "model");
+    RunResult result;
+    execute<false>(exe, opts, result);
+    return std::move(result.profile);
 }
 
 } // namespace propeller::sim

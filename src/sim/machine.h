@@ -22,6 +22,11 @@
  *  - verifies startup code-integrity checks (the mechanism by which
  *    rewritten-but-not-relinked binaries crash at startup, section 5.8);
  *  - optionally records the Figure 7 instruction-access heat map.
+ *
+ * One machine loop is instantiated twice.  run() drives the timing model
+ * and is the evaluation machine.  collectProfile() drives none: the LBR
+ * stream depends only on retired control flow, so profiling skips the
+ * caches, iTLB and predictor and still takes byte-identical samples.
  */
 
 #include <cstdint>
@@ -182,8 +187,17 @@ struct RunResult
     std::vector<std::vector<uint64_t>> heatMap;
 };
 
-/** Execute @p exe under @p opts. */
+/** Execute @p exe under @p opts with the full timing model. */
 RunResult run(const linker::Executable &exe, const MachineOptions &opts);
+
+/**
+ * Profile @p exe under @p opts without the timing model: the result is
+ * byte-identical to `run(exe, opts).profile`.  Heat maps and the data
+ * side (modelDataCache, collectMissProfile) need run(); requesting them
+ * here is a caller bug and aborts.
+ */
+profile::Profile collectProfile(const linker::Executable &exe,
+                                const MachineOptions &opts);
 
 } // namespace propeller::sim
 

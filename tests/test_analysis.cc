@@ -288,71 +288,6 @@ TEST(Verifier, StagedReportIsOrderAndThreadFree)
     expectStageOrderFree(all, all_opts, 7, "every mutant at once");
 }
 
-/** Every field of two linked images. */
-void
-expectSameImage(const linker::Executable &a, const linker::Executable &b,
-                const std::string &what)
-{
-    EXPECT_EQ(a.name, b.name) << what;
-    EXPECT_EQ(a.textBase, b.textBase) << what;
-    EXPECT_EQ(a.entryAddress, b.entryAddress) << what;
-    EXPECT_EQ(a.text, b.text) << what;
-    EXPECT_EQ(a.identityHash, b.identityHash) << what;
-    EXPECT_EQ(a.hugePagesText, b.hugePagesText) << what;
-
-    ASSERT_EQ(a.symbols.size(), b.symbols.size()) << what;
-    for (size_t i = 0; i < a.symbols.size(); ++i) {
-        const linker::FuncRange &x = a.symbols[i];
-        const linker::FuncRange &y = b.symbols[i];
-        EXPECT_TRUE(x.name == y.name &&
-                    x.parentFunction == y.parentFunction &&
-                    x.start == y.start && x.end == y.end &&
-                    x.isPrimary == y.isPrimary &&
-                    x.isHandAsm == y.isHandAsm)
-            << what << ": symbol " << x.name;
-    }
-
-    ASSERT_EQ(a.bbAddrMap.size(), b.bbAddrMap.size()) << what;
-    for (size_t i = 0; i < a.bbAddrMap.size(); ++i) {
-        const linker::ExecFuncMap &x = a.bbAddrMap[i];
-        const linker::ExecFuncMap &y = b.bbAddrMap[i];
-        EXPECT_EQ(x.function, y.function) << what;
-        EXPECT_EQ(x.functionHash, y.functionHash) << what;
-        ASSERT_EQ(x.blocks.size(), y.blocks.size()) << what;
-        for (size_t k = 0; k < x.blocks.size(); ++k) {
-            const linker::ExecBlock &p = x.blocks[k];
-            const linker::ExecBlock &q = y.blocks[k];
-            EXPECT_TRUE(p.bbId == q.bbId && p.address == q.address &&
-                        p.size == q.size && p.flags == q.flags &&
-                        p.hash == q.hash && p.succs == q.succs)
-                << what << ": " << x.function << " bb" << p.bbId;
-        }
-    }
-
-    ASSERT_EQ(a.integrityChecks.size(), b.integrityChecks.size()) << what;
-    for (size_t i = 0; i < a.integrityChecks.size(); ++i) {
-        EXPECT_EQ(a.integrityChecks[i].function,
-                  b.integrityChecks[i].function) << what;
-        EXPECT_EQ(a.integrityChecks[i].expectedHash,
-                  b.integrityChecks[i].expectedHash) << what;
-    }
-
-    ASSERT_EQ(a.frames.size(), b.frames.size()) << what;
-    for (size_t i = 0; i < a.frames.size(); ++i) {
-        EXPECT_TRUE(a.frames[i].sectionSymbol == b.frames[i].sectionSymbol &&
-                    a.frames[i].start == b.frames[i].start &&
-                    a.frames[i].end == b.frames[i].end)
-            << what << ": frame " << a.frames[i].sectionSymbol;
-    }
-
-    EXPECT_EQ(a.sizes.text, b.sizes.text) << what;
-    EXPECT_EQ(a.sizes.ehFrame, b.sizes.ehFrame) << what;
-    EXPECT_EQ(a.sizes.bbAddrMap, b.sizes.bbAddrMap) << what;
-    EXPECT_EQ(a.sizes.relocs, b.sizes.relocs) << what;
-    EXPECT_EQ(a.sizes.debug, b.sizes.debug) << what;
-    EXPECT_EQ(a.sizes.other, b.sizes.other) << what;
-}
-
 /**
  * Damages the .bb_addr_map bytes of every object in the cache while
  * keeping each entry's integrity hash valid, so Phase 4's cold cache
@@ -431,9 +366,9 @@ TEST(Verifier, IndependentRelinksMatchShippedAndVerifiedImages)
             linker::Executable twin =
                 linker::link(wf.phase4Objects(), opts, &twin_stats);
 
-            expectSameImage(po, wf.propellerBinary(), what + " PO");
-            expectSameImage(twin, wf.verifiedBinary(),
-                            what + " verified image");
+            test::expectSameImage(po, wf.propellerBinary(), what + " PO");
+            test::expectSameImage(twin, wf.verifiedBinary(),
+                                  what + " verified image");
 
             std::vector<std::string> want;
             for (const std::string &name : po_stats.quarantined)

@@ -447,6 +447,83 @@ TEST(WorkflowFaults, InjectedFaultsDetectedExactly)
     EXPECT_EQ(retries, stats.actionFailures);
 }
 
+/**
+ * Phase 2 links once and the baseline is the metadata binary's stripped
+ * copy.  Under .bb_addr_map damage it must still equal an independent
+ * stripped link of the same objects, "baseline.link" must report what
+ * that link reports, and the rejections stay in "phase2.link".
+ */
+TEST(WorkflowFaults, BaselineIsTheStrippedPhase2Link)
+{
+    // Keeps the Phase 2 objects as the links see them, damage included.
+    struct Capture : FaultInjector
+    {
+        using FaultInjector::FaultInjector;
+
+        void
+        onPhase2Objects(std::vector<elf::ObjectFile> &objects) override
+        {
+            FaultInjector::onPhase2Objects(objects);
+            phase2 = objects;
+        }
+
+        std::vector<elf::ObjectFile> phase2;
+    };
+
+    for (unsigned jobs : {1u, 8u}) {
+        const std::string what = "jobs=" + std::to_string(jobs);
+        workload::WorkloadConfig cfg = test::smallConfig(71);
+        cfg.jobs = jobs;
+        buildsys::Workflow wf(cfg);
+        FaultSpec spec;
+        spec.seed = 11;
+        spec.addrMapRate = 0.3;
+        Capture capture(spec);
+        wf.setFaultHooks(&capture);
+        // Either product may be the one that pulls the link.
+        if (jobs == 1)
+            wf.baseline();
+        else
+            wf.metadataBinary();
+        ASSERT_GT(capture.stats().addrMapsCorrupted, 0u) << what;
+
+        linker::Options opts;
+        opts.entrySymbol = wf.program().entryFunction;
+        opts.hugePagesText = cfg.hugePages;
+        opts.outputName = cfg.name + ".base";
+        opts.stripAddrMaps = true;
+        linker::LinkStats base_stats;
+        test::expectSameImage(linker::link(capture.phase2, opts, &base_stats),
+                              wf.baseline(), what + " baseline");
+        opts.outputName = cfg.name + ".pm";
+        opts.stripAddrMaps = false;
+        linker::LinkStats pm_stats;
+        test::expectSameImage(linker::link(capture.phase2, opts, &pm_stats),
+                              wf.metadataBinary(), what + " PM");
+
+        std::vector<std::string> want;
+        for (const std::string &name : base_stats.quarantined)
+            want.push_back("function quarantined: " + name);
+        const buildsys::PhaseReport &base = wf.report("baseline.link");
+        EXPECT_EQ(base.failures, want) << what;
+        EXPECT_EQ(base.quarantined, base_stats.quarantinedFunctions) << what;
+        EXPECT_EQ(base.peakActionMemory, base_stats.peakMemory) << what;
+
+        EXPECT_EQ(pm_stats.addrMapsRejected,
+                  capture.stats().addrMapsCorrupted)
+            << what;
+        for (const std::string &name : pm_stats.rejectedAddrMapObjects)
+            want.push_back(".bb_addr_map rejected: " + name);
+        const buildsys::PhaseReport &pm = wf.report("phase2.link");
+        EXPECT_EQ(pm.failures, want) << what;
+        EXPECT_EQ(pm.quarantined,
+                  pm_stats.quarantinedFunctions + pm_stats.addrMapsRejected)
+            << what;
+        EXPECT_EQ(pm.peakActionMemory, pm_stats.peakMemory) << what;
+        EXPECT_EQ(pm.makespanSec, base.makespanSec) << what;
+    }
+}
+
 TEST(WorkflowFaults, TransientActionFailureRetriedWithBackoff)
 {
     struct FailOnce : buildsys::FaultHooks

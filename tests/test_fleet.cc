@@ -627,11 +627,14 @@ TEST(FleetService, CanaryAddTargetRetireRollsBackCleanly)
     EXPECT_TRUE(svc.relinks().back().verifierClean);
     EXPECT_FALSE(svc.degraded());
 
-    // The program recipe for runtime-added versions is reproducible.
-    ir::Program replay = fleet::makeVersionProgram(
-        fleetOptions("test_fleet_canary2.cache"), canary);
-    EXPECT_EQ(replay.modules.size(),
-              svc.versionProgram(canary).modules.size());
+    // The program recipe for runtime-added versions is reproducible: a
+    // metadata link of the replayed program is the canary's binary.
+    const fleet::FleetOptions replay_opts =
+        fleetOptions("test_fleet_canary2.cache");
+    buildsys::Workflow replay(replay_opts.base);
+    replay.overrideProgram(fleet::makeVersionProgram(replay_opts, canary));
+    EXPECT_EQ(replay.metadataBinary().identityHash,
+              svc.versionBinary(canary).identityHash);
 }
 
 // ---------------------------------------------------------------------

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the machine simulator: functional semantics, determinism,
  * layout invariance, branch bias statistics, microarchitectural component
- * models (caches, iTLB, predictor), LBR collection and heat maps.
+ * models (caches, iTLB, predictor), LBR collection, heat maps, and the
+ * timing-free profiler against the timed run.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "sim/itlb.h"
 #include "sim/machine.h"
 #include "test_util.h"
+#include "workload/workload.h"
 
 namespace propeller::sim {
 namespace {
@@ -217,6 +219,79 @@ TEST(Machine, HeatMapDimensionsAndMass)
         for (uint64_t v : row)
             mass += v;
     EXPECT_EQ(mass, r.counters.instructions);
+}
+
+// ---- Timing-free profiling ------------------------------------------------
+
+/** A metadata binary (.bb_addr_map kept) of @p program. */
+linker::Executable
+linkMetadata(const ir::Program &program)
+{
+    codegen::Options copts;
+    copts.emitAddrMapSection = true;
+    linker::Options lopts;
+    lopts.entrySymbol = program.entryFunction;
+    return linker::link(codegen::compileProgram(program, copts), lopts);
+}
+
+/** collectProfile's bytes must be the timed run's; returns the profile. */
+profile::Profile
+expectTimedProfile(const linker::Executable &exe, const MachineOptions &opts,
+                   const std::string &what)
+{
+    profile::Profile timed = run(exe, opts).profile;
+    profile::Profile untimed = collectProfile(exe, opts);
+    EXPECT_EQ(untimed.serialize(), timed.serialize()) << what;
+    return untimed;
+}
+
+/**
+ * The byte-identity oracle for the timing-free loop: every application
+ * shape, a drifted program, and the startup-failure and corrupt-text
+ * images profile exactly as under the timed model.
+ */
+TEST(Machine, CollectProfileMatchesTimedRun)
+{
+    for (const workload::WorkloadConfig &cfg : workload::appConfigs()) {
+        profile::Profile prof = expectTimedProfile(
+            linkMetadata(workload::generate(cfg)),
+            workload::profileOptions(cfg), cfg.name);
+        EXPECT_GT(prof.samples.size(), 100u) << cfg.name;
+    }
+
+    const workload::WorkloadConfig &mysql = workload::configByName("mysql");
+    ir::Program drifted = workload::generate(mysql);
+    ASSERT_GT(workload::applyDrift(drifted, {mysql.seed + 10, 0.10}).total(),
+              0u);
+    expectTimedProfile(linkMetadata(drifted), workload::profileOptions(mysql),
+                       "mysql, 10% drift");
+
+    MachineOptions opts = workload::profileOptions(test::smallConfig());
+    linker::Executable bad_check = linkTiny();
+    bad_check.integrityChecks.push_back({"work", 0xdeadbeefull});
+    EXPECT_EQ(expectTimedProfile(bad_check, opts, "integrity failure")
+                  .binaryHash,
+              0u);
+
+    linker::Executable corrupt = linkTiny();
+    corrupt.text[corrupt.entryAddress - corrupt.textBase] = 0x33;
+    corrupt.integrityChecks.clear();
+    EXPECT_EQ(expectTimedProfile(corrupt, opts, "corrupt text").totalRetired,
+              0u);
+}
+
+TEST(Machine, CollectProfileRejectsTimingOptions)
+{
+    linker::Executable exe = linkTiny();
+    MachineOptions heat = smallRun();
+    heat.recordHeatMap = true;
+    EXPECT_DEATH(collectProfile(exe, heat), "need sim::run");
+    MachineOptions data = smallRun();
+    data.modelDataCache = true;
+    EXPECT_DEATH(collectProfile(exe, data), "need sim::run");
+    MachineOptions misses = smallRun();
+    misses.collectMissProfile = true;
+    EXPECT_DEATH(collectProfile(exe, misses), "need sim::run");
 }
 
 // ---- Component models ----------------------------------------------------

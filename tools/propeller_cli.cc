@@ -231,7 +231,7 @@ cmdRunStale(const workload::WorkloadConfig &cfg)
 
     // Ground truth: a fresh profile of the drifted build.
     profile::Profile fresh_prof =
-        sim::run(target, workload::profileOptions(cfg)).profile;
+        sim::collectProfile(target, workload::profileOptions(cfg));
     core::WpaResult fresh =
         core::runWholeProgramAnalysis(target, fresh_prof, {}, g_jobs);
 

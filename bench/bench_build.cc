@@ -13,7 +13,7 @@
 
 #include "common.h"
 #include "propeller/propeller.h"
-#include "support/thread_pool.h"
+#include "sched/sched.h"
 
 using namespace propeller;
 
@@ -83,7 +83,7 @@ main(int argc, char **argv)
                 "%.1f ms at 4 threads — %.2fx\n",
                 kReps, t1 * 1e3, t4 * 1e3, speedup);
     std::printf("(hardware threads available: %u; speedup needs >= 4)\n",
-                resolveThreadCount(0));
+                sched::resolveThreadCount(0));
 
     FILE *out = std::fopen(out_path, "w");
     if (!out) {
@@ -105,7 +105,7 @@ main(int argc, char **argv)
     std::fprintf(out, "  \"layout_wall_sec_4_threads\": %.6f,\n", t4);
     std::fprintf(out, "  \"layout_speedup_4_threads\": %.3f,\n", speedup);
     std::fprintf(out, "  \"hardware_threads\": %u\n",
-                 resolveThreadCount(0));
+                 sched::resolveThreadCount(0));
     std::fprintf(out, "}\n");
     std::fclose(out);
     std::printf("wrote %s\n", out_path);

@@ -7,12 +7,9 @@
 
 #include "build/journal.h"
 #include "linker/linker.h"
-#include "propeller/addr_map_index.h"
-#include "propeller/profile_mapper.h"
 #include "sim/machine.h"
 #include "support/check.h"
 #include "support/hash.h"
-#include "support/thread_pool.h"
 
 namespace propeller::buildsys {
 
@@ -303,7 +300,7 @@ Workflow::compileModules(const codegen::ClusterMap *clusters,
     // Every module has its own action key, so lookups in any order count
     // the same hits, misses and corruptions.
     std::vector<ModuleBuild> built(n);
-    parallelFor(config_.jobs, n, [&](size_t i) {
+    sched::parallelFor(config_.jobs, n, [&](size_t i) {
         built[i] = buildModule(i, clusters, prefetches, batch.objects[i]);
     });
     for (size_t i = 0; i < n; ++i)
@@ -707,7 +704,6 @@ Workflow::verifyOptions() const
 
 void
 Workflow::commitVerify(analysis::VerifyReport rep,
-                       const core::WholeProgramDcfg &flow_dcfg,
                        const analysis::VerifyOptions &vopts)
 {
     // Stripping only drops metadata, so the verified image's text is the
@@ -716,7 +712,8 @@ Workflow::commitVerify(analysis::VerifyReport rep,
                     "verified image text diverged from PO");
     rep.merge(analysis::lintDirectives(wpa_->ccProf, wpa_->ldProf,
                                        metadataBinary(), vopts));
-    rep.merge(analysis::lintProfileFlow(flow_dcfg, vopts));
+    rep.merge(analysis::lintProfileFlow(*profileDcfg_, vopts));
+    profileDcfg_.reset();
     recordVerifyReport(rep);
     verify_ = std::move(rep);
 }
@@ -1095,8 +1092,6 @@ Workflow::runRelinkGraph(RelinkStage target)
     analysis::VerifyOptions vopts;
     std::unique_ptr<analysis::ExecutableVerifier> verifier;
     std::optional<analysis::VerifyReport> vrep;
-    std::optional<core::AddrMapIndex> flowIndex;
-    std::optional<core::WholeProgramDcfg> flowDcfg;
     const size_t chunks = std::max<size_t>(1, limits_.workers * 2);
     std::vector<sched::TaskId> decodeTask;
     std::vector<sched::TaskId> checkTask;
@@ -1170,21 +1165,6 @@ Workflow::runRelinkGraph(RelinkStage target)
             {"verify.finish", "phase5.verify", 0.0});
         for (size_t c = 0; c < chunks; ++c)
             graph.addEdge(checkTask[c], finishTask);
-
-        // The profile-flow lint rebuilds its own DCFG; that build has no
-        // dependencies and overlaps the whole graph.  The lint itself
-        // runs in the coordinator finalize (it reads the verify options
-        // the finish task sets).
-        graph.add(
-            [&] {
-                profile::AggregationOptions agg_opts;
-                agg_opts.threads = config_.jobs;
-                profile::AggregatedProfile agg =
-                    profile::aggregate(prof, agg_opts);
-                flowIndex.emplace(pm);
-                flowDcfg = core::buildDcfg(agg, *flowIndex);
-            },
-            {"lint.flow.dcfg", "phase5.verify", 0.0});
     }
 
     // ---- Execute --------------------------------------------------------
@@ -1208,8 +1188,10 @@ Workflow::runRelinkGraph(RelinkStage target)
         reports_["relink.graph"] = std::move(report);
     }
 
-    if (need_wpa)
+    if (need_wpa) {
         recordWpaReport();
+        profileDcfg_ = pipe->takeProfileDcfg();
+    }
 
     if (need_link) {
         recordCodegenReport("phase4.codegen", batch);
@@ -1218,7 +1200,7 @@ Workflow::runRelinkGraph(RelinkStage target)
     }
 
     if (need_verify)
-        commitVerify(std::move(*vrep), *flowDcfg, vopts);
+        commitVerify(std::move(*vrep), vopts);
 }
 
 const analysis::VerifyReport &

@@ -23,10 +23,11 @@
  * divided over workers plus the critical path — the standard bound for
  * list scheduling) and memory with the modelled MemoryMeter, because
  * host wall-clock and RSS neither scale like the real system nor stay
- * deterministic.  Local parallelism, however, is real: per-module
- * backend actions fan out over worker threads (WorkloadConfig::jobs),
- * and results merge in module order so binaries are byte-identical at
- * any thread count.
+ * deterministic.  Local parallelism, however, is real: every parallel
+ * stage runs on src/sched with WorkloadConfig::jobs threads — the relink
+ * graph below, or sched::parallelFor for the loops outside it (Phase 2
+ * and the rebuilds' per-module backend actions) — and results merge in
+ * module order so binaries are byte-identical at any thread count.
  *
  * The relink chain (Phase 3 WPA -> Phase 4 codegen -> link -> Phase 5
  * verify) runs as ONE fine-grained task graph on the work-stealing
@@ -35,10 +36,12 @@
  * verification are tasks with real data dependencies, so a module's
  * backend re-runs the moment its last hot function's layout lands and
  * verification spreads over every worker the moment the one Phase 4
- * link lands — no phase barriers.  Order-sensitive side effects (cache
- * population, retry accounting, failure attribution) commit through an
- * OrderedSink in module order, so artifacts, reports and cache
- * statistics are byte-identical at any thread count.  Every codegen
+ * link lands — no phase barriers.  The Phase 5 profile-flow lint reads
+ * the DCFG WPA's mapper built, which the workflow keeps across graphs.
+ * Order-sensitive side effects (cache population, retry accounting,
+ * failure attribution) commit through an OrderedSink in module order,
+ * so artifacts, reports and cache statistics are byte-identical at any
+ * thread count.  Every codegen
  * action — Phase 2, the relink, and the prefetch, ablation and
  * iterative rebuilds — runs the same build step and in-order commit.
  * relinkSchedule() exposes the modelled schedule: critical path,
@@ -531,10 +534,11 @@ class Workflow
 
     /**
      * Fold the pre-link lints into @p rep (the verifier's report over
-     * verifiedBinary()), record "phase5.verify" and memoize the result.
+     * verifiedBinary()) — the profile-flow lint over WPA's profile
+     * DCFG, which it then frees — record "phase5.verify" and memoize
+     * the result.
      */
     void commitVerify(analysis::VerifyReport rep,
-                      const core::WholeProgramDcfg &flow_dcfg,
                       const analysis::VerifyOptions &vopts);
 
     /** Link with cost accounting; records a report under @p phase. */
@@ -589,6 +593,13 @@ class Workflow
     std::vector<std::string> coldObjects_;
     std::optional<sched::ScheduleReport> schedule_;
     std::optional<core::WholeProgramDcfg> dcfgOverride_;
+    /**
+     * The DCFG WPA's mapper built from the profile, kept from the WPA
+     * graph for the Phase 5 flow lint, which may run in a later graph.
+     * Under overrideDcfg() it is still the profile's own mapping, never
+     * the injected DCFG.
+     */
+    std::optional<core::WholeProgramDcfg> profileDcfg_;
     std::set<std::string> primeFns_;
 };
 

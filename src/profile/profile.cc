@@ -4,10 +4,10 @@
 #include <cmath>
 #include <map>
 
+#include "sched/sched.h"
 #include "support/check.h"
 #include "support/hash.h"
 #include "support/leb128.h"
-#include "support/thread_pool.h"
 
 namespace propeller::profile {
 
@@ -394,11 +394,7 @@ aggregate(const Profile &profile, const AggregationOptions &opts)
     // order — is independent of how many threads ran the shards.
     size_t shards = aggregationShardCount(profile, opts);
     std::vector<AggregatedProfile> slots(shards);
-    if (shards <= 1) {
-        aggregateShardInto(profile, opts, 0, slots[0]);
-        return std::move(slots[0]);
-    }
-    parallelFor(opts.threads, shards, [&](size_t s) {
+    sched::parallelFor(opts.threads, shards, [&](size_t s) {
         aggregateShardInto(profile, opts, s, slots[s]);
     });
     return mergeAggregationShards(slots);

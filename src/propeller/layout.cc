@@ -8,8 +8,8 @@
 #include <unordered_set>
 
 #include "propeller/hfsort.h"
+#include "sched/sched.h"
 #include "support/hash.h"
-#include "support/thread_pool.h"
 
 namespace propeller::core {
 
@@ -207,13 +207,14 @@ intraProceduralLayout(const Ctx &ctx, unsigned jobs, LayoutResult &result)
 {
     // Each function's layout problem is independent (this is the paper's
     // memory/parallelism argument for WPA vs BOLT), so the loop fans out
-    // over the thread pool.  Results land in per-function slots and merge
-    // in function order, keeping cc_prof/ld_prof — including the
+    // with sched::parallelFor.  Results land in per-function slots and
+    // merge in function order, keeping cc_prof/ld_prof — including the
     // floating-point Ext-TSP score sum — byte-identical at any thread
     // count.
     std::vector<FunctionLayout> slots(ctx.dcfg.functions.size());
-    parallelFor(jobs, ctx.dcfg.functions.size(),
-                [&](size_t f) { slots[f] = layoutOneFunction(ctx, f); });
+    sched::parallelFor(jobs, ctx.dcfg.functions.size(), [&](size_t f) {
+        slots[f] = layoutOneFunction(ctx, f);
+    });
     mergeIntraLayout(ctx, std::move(slots), globalHfsortOrder(ctx),
                      result);
 }

@@ -140,11 +140,10 @@ bool decodeFunctionLayout(const std::vector<uint8_t> &bytes,
 
 /**
  * Decomposed intra-procedural layout: each function's Ext-TSP problem is
- * independent, so callers (the task-graph relink engine, the
- * parallelFor loop of runWholeProgramAnalysis) can run `layoutFunction`
- * per function on any thread and in any order, then `merge` the slots
- * in function order.  The
- * merged result is byte-identical to a serial run by construction.
+ * independent, so a caller (the task-graph relink engine) can run
+ * `layoutFunction` per function on any thread and in any order, then
+ * `merge` the slots in function order.  The merged result is
+ * byte-identical to computeLayout's own loop by construction.
  *
  * Only valid for the intra-procedural strategy; the inter-procedural
  * chain is a single global problem and stays monolithic (computeLayout).

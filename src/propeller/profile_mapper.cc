@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "support/thread_pool.h"
+#include "sched/sched.h"
 
 namespace propeller::core {
 
@@ -142,6 +142,47 @@ struct DcfgMapper::Impl
     std::vector<RangeSlot> ranges;
 
     explicit Impl(const AddrMapIndex &idx) : index(idx) {}
+
+    void
+    resolveBranch(BranchSlot &slot) const
+    {
+        uint64_t from = profile::AggregatedProfile::keyFrom(slot.key);
+        slot.to = profile::AggregatedProfile::keyTo(slot.key) |
+                  (from & 0xffffffff00000000ull);
+        slot.rf = index.lookup(from);
+        slot.rt = index.lookup(slot.to);
+    }
+
+    void
+    resolveRange(RangeSlot &slot) const
+    {
+        constexpr int kMaxWalk = 512;
+        uint64_t start = profile::AggregatedProfile::keyFrom(slot.key);
+        uint64_t end_addr = profile::AggregatedProfile::keyTo(slot.key) |
+                            (start & 0xffffffff00000000ull);
+        auto cur = index.lookup(start);
+        if (!cur || end_addr < start) {
+            slot.unmapped = true;
+            return;
+        }
+        int steps = 0;
+        while (end_addr >= cur->blockEnd) {
+            if (++steps > kMaxWalk) {
+                slot.truncated = true;
+                break;
+            }
+            auto nxt = index.next(*cur);
+            if (!nxt || nxt->funcIndex != cur->funcIndex ||
+                nxt->blockStart != cur->blockEnd) {
+                // Gap or function boundary: inconsistent range (e.g.
+                // the sample raced a migration); drop the rest.
+                slot.truncated = true;
+                break;
+            }
+            slot.hops.emplace_back(*cur, *nxt);
+            cur = nxt;
+        }
+    }
 };
 
 DcfgMapper::DcfgMapper(const profile::AggregatedProfile &agg,
@@ -169,76 +210,29 @@ DcfgMapper::DcfgMapper(const profile::AggregatedProfile &agg,
 
 DcfgMapper::~DcfgMapper() = default;
 
-size_t
-DcfgMapper::branchCount() const
-{
-    return impl_->branches.size();
-}
-
-size_t
-DcfgMapper::rangeCount() const
-{
-    return impl_->ranges.size();
-}
-
-void
-DcfgMapper::resolveBranches(size_t begin, size_t end)
-{
-    for (size_t i = begin; i < end && i < impl_->branches.size(); ++i) {
-        Impl::BranchSlot &slot = impl_->branches[i];
-        uint64_t from = profile::AggregatedProfile::keyFrom(slot.key);
-        slot.to = profile::AggregatedProfile::keyTo(slot.key) |
-                  (from & 0xffffffff00000000ull);
-        slot.rf = impl_->index.lookup(from);
-        slot.rt = impl_->index.lookup(slot.to);
-    }
-}
-
-void
-DcfgMapper::resolveRanges(size_t begin, size_t end)
-{
-    constexpr int kMaxWalk = 512;
-    for (size_t i = begin; i < end && i < impl_->ranges.size(); ++i) {
-        Impl::RangeSlot &slot = impl_->ranges[i];
-        uint64_t start = profile::AggregatedProfile::keyFrom(slot.key);
-        uint64_t end_addr = profile::AggregatedProfile::keyTo(slot.key) |
-                            (start & 0xffffffff00000000ull);
-        auto cur = impl_->index.lookup(start);
-        if (!cur || end_addr < start) {
-            slot.unmapped = true;
-            continue;
-        }
-        int steps = 0;
-        while (end_addr >= cur->blockEnd) {
-            if (++steps > kMaxWalk) {
-                slot.truncated = true;
-                break;
-            }
-            auto nxt = impl_->index.next(*cur);
-            if (!nxt || nxt->funcIndex != cur->funcIndex ||
-                nxt->blockStart != cur->blockEnd) {
-                // Gap or function boundary: inconsistent range (e.g.
-                // the sample raced a migration); drop the rest.
-                slot.truncated = true;
-                break;
-            }
-            slot.hops.emplace_back(*cur, *nxt);
-            cur = nxt;
-        }
-    }
-}
-
 void
 DcfgMapper::resolveShard(size_t shard, size_t shardCount)
 {
-    if (shardCount == 0)
+    if (shard >= shardCount)
         return;
-    size_t nb = impl_->branches.size();
-    size_t nr = impl_->ranges.size();
-    resolveBranches(shard * nb / shardCount,
-                    (shard + 1) * nb / shardCount);
-    resolveRanges(shard * nr / shardCount,
-                  (shard + 1) * nr / shardCount);
+    const size_t nb = impl_->branches.size();
+    for (size_t i = shard * nb / shardCount;
+         i < (shard + 1) * nb / shardCount; ++i)
+        impl_->resolveBranch(impl_->branches[i]);
+    const size_t nr = impl_->ranges.size();
+    for (size_t i = shard * nr / shardCount;
+         i < (shard + 1) * nr / shardCount; ++i)
+        impl_->resolveRange(impl_->ranges[i]);
+}
+
+void
+DcfgMapper::resolve(unsigned threads)
+{
+    // Slices outnumber threads so a slice heavy in long range walks
+    // does not hold the loop up; any slicing resolves the same slots.
+    const size_t shards = 4 * sched::resolveThreadCount(threads);
+    sched::parallelFor(threads, shards,
+                       [&](size_t s) { resolveShard(s, shards); });
 }
 
 WholeProgramDcfg
@@ -374,18 +368,13 @@ WholeProgramDcfg
 buildDcfg(const profile::AggregatedProfile &agg, const AddrMapIndex &index,
           MapperStats *stats_out, unsigned threads)
 {
-    // The mapper splits each record kind into a read-only resolution
-    // phase (address lookups, range walks) that fans out over the thread
-    // pool into per-record slots, and a serial application phase that
-    // feeds the mutable builder in the aggregation maps' iteration order
-    // — the same order the fully serial mapper used, so the DCFG (whose
-    // node numbering is first-touch order) is identical at any thread
-    // count.
+    // A read-only resolution phase (address lookups, range walks) fills
+    // per-record slots in parallel; the serial application phase feeds
+    // the mutable builder in the aggregation maps' iteration order — the
+    // same order the fully serial mapper used, so the DCFG (whose node
+    // numbering is first-touch order) is identical at any thread count.
     DcfgMapper mapper(agg, index);
-    parallelFor(threads, mapper.branchCount(),
-                [&](size_t i) { mapper.resolveBranches(i, i + 1); });
-    parallelFor(threads, mapper.rangeCount(),
-                [&](size_t i) { mapper.resolveRanges(i, i + 1); });
+    mapper.resolve(threads);
     return mapper.apply(stats_out);
 }
 

@@ -36,13 +36,13 @@ struct MapperStats
  * resolution as independent tasks.
  *
  * The constructor snapshots the aggregation maps' iteration order into
- * per-record slots; `resolveBranches` / `resolveRanges` (or the
- * convenience `resolveShard`, which slices both arrays by fraction) do
- * the read-only address lookups and fall-through range walks and may
- * run concurrently over disjoint slices; `apply` then feeds the
- * mutable DCFG builder serially in slot order.  Because node numbering
- * is first-touch order over that fixed sequence, the resulting graph
- * is byte-identical no matter how the resolution work was scheduled.
+ * per-record slots; `resolveShard` does the read-only address lookups
+ * and fall-through range walks for one fraction slice of the branch and
+ * range records, and slices may run concurrently; `apply` then feeds
+ * the mutable DCFG builder serially in slot order.  Because node
+ * numbering is first-touch order over that fixed sequence, the
+ * resulting graph is byte-identical however the records were sliced and
+ * scheduled.
  */
 class DcfgMapper
 {
@@ -53,20 +53,13 @@ class DcfgMapper
     DcfgMapper(const DcfgMapper &) = delete;
     DcfgMapper &operator=(const DcfgMapper &) = delete;
 
-    size_t branchCount() const;
-    size_t rangeCount() const;
-
-    /** Resolve branch record slots [begin, end); thread-safe across
-     *  disjoint slices. */
-    void resolveBranches(size_t begin, size_t end);
-
-    /** Resolve fall-through range slots [begin, end); thread-safe
-     *  across disjoint slices. */
-    void resolveRanges(size_t begin, size_t end);
-
-    /** Resolve shard @p shard of @p shardCount fraction slices of both
-     *  record arrays. */
+    /** Resolve slice @p shard of @p shardCount of both record arrays;
+     *  thread-safe across distinct slices. */
     void resolveShard(size_t shard, size_t shardCount);
+
+    /** Resolve every slice: one sched::parallelFor over resolveShard
+     *  on up to @p threads threads (0 = all hardware threads). */
+    void resolve(unsigned threads);
 
     /** Serial application: all slots must be resolved. Call once. */
     WholeProgramDcfg apply(MapperStats *stats = nullptr);

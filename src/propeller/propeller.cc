@@ -4,8 +4,8 @@
 #include <unordered_map>
 
 #include "propeller/addr_map_index.h"
+#include "sched/sched.h"
 #include "support/hash.h"
-#include "support/thread_pool.h"
 
 namespace propeller::core {
 
@@ -37,8 +37,9 @@ struct WpaPipeline::Impl
     std::unordered_map<std::string, uint32_t> funcIndexByName;
 
     // Injected DCFG (fleet service seam): consumed by applyDcfg() in
-    // place of the mapper's output.
+    // place of the mapper's output, which then lands in profileDcfg.
     std::optional<WholeProgramDcfg> pendingDcfg;
+    std::optional<WholeProgramDcfg> profileDcfg;
 
     Impl(const linker::Executable &e, const profile::Profile &p,
          const LayoutOptions &o, unsigned j)
@@ -117,8 +118,12 @@ struct WpaPipeline::Impl
     {
         // The whole-program DCFG: proportional to *sampled* code only —
         // this is the design property that bounds Phase 3 memory
-        // (section 3.5).
+        // (section 3.5).  The profile's own mapping is built even when
+        // an injected DCFG is laid out instead, because the Phase 5 flow
+        // lint judges the profile; the injection keeps the mapper stats
+        // at zero.
         if (pendingDcfg) {
+            profileDcfg.emplace(mapper->apply());
             dcfg.emplace(std::move(*pendingDcfg));
             pendingDcfg.reset();
         } else {
@@ -139,17 +144,12 @@ struct WpaPipeline::Impl
     build()
     {
         WpaPipeline::IngestPlan plan = prepare();
-        parallelFor(jobs, plan.aggregationShards,
-                    [&](size_t s) { aggregateShard(s); });
+        sched::parallelFor(jobs, plan.aggregationShards,
+                           [&](size_t s) { aggregateShard(s); });
         mergeAggregation();
         buildIndex();
         beginMapping();
-        parallelFor(jobs, mapper->branchCount(), [&](size_t i) {
-            mapper->resolveBranches(i, i + 1);
-        });
-        parallelFor(jobs, mapper->rangeCount(), [&](size_t i) {
-            mapper->resolveRanges(i, i + 1);
-        });
+        mapper->resolve(jobs);
         applyDcfg();
     }
 
@@ -310,6 +310,13 @@ WpaPipeline::finish(std::vector<FunctionLayout> slots, LdProfile order,
     return impl_->assemble(std::move(merged), meter);
 }
 
+WholeProgramDcfg
+WpaPipeline::takeProfileDcfg()
+{
+    return std::move(impl_->profileDcfg ? *impl_->profileDcfg
+                                        : *impl_->dcfg);
+}
+
 WpaResult
 WpaPipeline::finishMonolithic(MemoryMeter *meter)
 {
@@ -328,19 +335,12 @@ runWholeProgramAnalysis(const linker::Executable &metadata_exe,
                         const LayoutOptions &opts, unsigned jobs,
                         MemoryMeter *meter)
 {
+    // The serial composition: computeLayout's per-function loop merges
+    // in function order, byte-identical to the relink's task graph,
+    // which runs the same stages as graph tasks.
     WpaPipeline pipeline(metadata_exe, prof, opts, jobs);
     pipeline.build();
-    if (opts.interProcedural)
-        return pipeline.finishMonolithic(meter);
-
-    // The serial composition: fan the per-function loop over the thread
-    // pool, merge in function order.  Byte-identical to the relink's
-    // task graph, which runs the same stages as graph tasks.
-    std::vector<FunctionLayout> slots(pipeline.functionCount());
-    parallelFor(jobs, slots.size(),
-                [&](size_t f) { slots[f] = pipeline.layoutFunction(f); });
-    return pipeline.finish(std::move(slots), pipeline.globalOrder(),
-                           meter);
+    return pipeline.finishMonolithic(meter);
 }
 
 } // namespace propeller::core

@@ -63,13 +63,15 @@ struct WpaResult
  * entry point below and the task-graph relink engine so both produce
  * byte-identical artifacts and identical stats by construction:
  *
- *   build()                  — aggregate profile, index, DCFG (serial);
+ *   build()                  — aggregate profile, index, DCFG;
  *   layoutFunction(f)        — per-function Ext-TSP, any thread/order;
  *   globalOrder()            — hfsort, concurrent with the fan-out;
  *   finish(slots, order)     — ordered merge + memory accounting.
  *
+ * The serial entry point is build() plus finishMonolithic(), whose one
+ * computeLayout call runs the per-function loop on sched::parallelFor.
  * build() itself decomposes further for the task graph — profile
- * ingestion as dependency-ordered stages instead of one serial prelude:
+ * ingestion as dependency-ordered stages instead of one prelude:
  *
  *   prepare()                — identity check, shard plan;
  *   aggregateShard(s)        — per-shard counters, any thread/order;
@@ -166,10 +168,21 @@ class WpaPipeline
                      MemoryMeter *meter = nullptr);
 
     /**
-     * Inter-procedural fallback: run the monolithic layout instead of
-     * the per-function stages (the global chain cannot be decomposed).
+     * Lay out the whole program in one computeLayout call instead of the
+     * per-function stages: its loop over functions for the
+     * intra-procedural strategy, the global chain (which cannot be
+     * decomposed) for the inter-procedural one.  Merge + stats as
+     * finish(); consumes the pipeline.
      */
     WpaResult finishMonolithic(MemoryMeter *meter = nullptr);
+
+    /**
+     * Move out the DCFG the mapper built from the profile's own samples:
+     * dcfg() unless overrideDcfg() substituted it, in which case the
+     * profile's mapping is still built (its stats stay out of
+     * WpaStats).  Call once, after the pipeline finished.
+     */
+    WholeProgramDcfg takeProfileDcfg();
 
   private:
     struct Impl;
@@ -177,7 +190,8 @@ class WpaPipeline
 };
 
 /**
- * Run profile conversion + whole-program analysis.
+ * Run profile conversion + whole-program analysis: build() plus
+ * finishMonolithic(), byte-identical to the relink's task graph.
  *
  * @param metadata_exe the Phase 2 binary with BB address map metadata.
  * @param prof         LBR samples collected while running it.

@@ -1,7 +1,8 @@
 /**
  * @file
  * Work-stealing execution (critical-path priority deques, run-time
- * graph growth) and deterministic virtual-time simulation.
+ * graph growth), deterministic virtual-time simulation, and
+ * parallelFor on top of both.
  */
 
 #include "sched/sched.h"
@@ -19,8 +20,6 @@
 #include <thread>
 #include <tuple>
 #include <utility>
-
-#include "support/thread_pool.h"
 
 namespace propeller::sched {
 
@@ -74,6 +73,30 @@ struct ExecState
         q.insert(pos, e);
     }
 
+    /**
+     * Wake idle workers.  The notify runs under idleMu, where an idle
+     * worker re-checks the queues and `remaining` before it waits, so a
+     * wake-up cannot land between that check and the wait and be lost.
+     */
+    void
+    wakeIdle()
+    {
+        std::lock_guard<std::mutex> lock(idleMu);
+        idleCv.notify_all();
+    }
+
+    /** True if any worker deque holds a task. */
+    bool
+    anyQueued()
+    {
+        for (WorkerQueue &wq : queues) {
+            std::lock_guard<std::mutex> lock(wq.mu);
+            if (!wq.q.empty())
+                return true;
+        }
+        return false;
+    }
+
     void
     pushLocal(size_t worker, Entry e)
     {
@@ -81,7 +104,7 @@ struct ExecState
             std::lock_guard<std::mutex> lock(queues[worker].mu);
             insertSorted(queues[worker].q, e);
         }
-        idleCv.notify_all();
+        wakeIdle();
     }
 
     bool
@@ -121,12 +144,13 @@ struct ExecState
             steals.fetch_add(1, std::memory_order_relaxed);
             out = grabbed.front();
             if (grabbed.size() > 1) {
-                std::lock_guard<std::mutex> lock(queues[thief].mu);
-                for (size_t i = 1; i < grabbed.size(); ++i)
-                    insertSorted(queues[thief].q, grabbed[i]);
+                {
+                    std::lock_guard<std::mutex> lock(queues[thief].mu);
+                    for (size_t i = 1; i < grabbed.size(); ++i)
+                        insertSorted(queues[thief].q, grabbed[i]);
+                }
+                wakeIdle();
             }
-            if (grabbed.size() > 1)
-                idleCv.notify_all();
             return true;
         }
         return false;
@@ -179,12 +203,15 @@ struct ExecState
         for (const Entry &e : ready)
             pushLocal(worker, e);
         if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            idleCv.notify_all();
+            wakeIdle();
     }
 
     void
     workerLoop(size_t worker)
     {
+        // A nested run (parallelFor inside a task) reuses this thread;
+        // restore the outer run's index when it returns.
+        const size_t outer = tlWorker;
         tlWorker = worker;
         while (remaining.load(std::memory_order_acquire) > 0) {
             Entry e{0.0, kInvalidTask};
@@ -195,14 +222,16 @@ struct ExecState
             auto t0 = std::chrono::steady_clock::now();
             {
                 std::unique_lock<std::mutex> lock(idleMu);
-                idleCv.wait_for(lock, std::chrono::microseconds(200));
+                if (remaining.load(std::memory_order_acquire) > 0 &&
+                    !anyQueued())
+                    idleCv.wait_for(lock, std::chrono::microseconds(200));
             }
             idleSec[worker] +=
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
         }
-        idleCv.notify_all();
+        tlWorker = outer;
     }
 };
 
@@ -469,6 +498,15 @@ simulate(const std::deque<TaskGraph::Task> &tasks,
 
 } // namespace
 
+unsigned
+resolveThreadCount(unsigned requested)
+{
+    if (requested != 0)
+        return requested;
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw != 0 ? hw : 1;
+}
+
 ScheduleReport
 Scheduler::run(TaskGraph &graph)
 {
@@ -532,6 +570,29 @@ Scheduler::run(TaskGraph &graph)
     simulate(tasks, finalTopo, std::max(opts_.modelWorkers, 1u),
              report);
     return report;
+}
+
+void
+parallelFor(unsigned threads, size_t n,
+            const std::function<void(size_t)> &fn)
+{
+    const size_t drains = std::min<size_t>(resolveThreadCount(threads), n);
+    if (drains <= 1) {
+        for (size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+    std::atomic<size_t> next{0};
+    TaskGraph graph;
+    for (size_t d = 0; d < drains; ++d) {
+        graph.add([&] {
+            for (size_t i = next++; i < n; i = next++)
+                fn(i);
+        });
+    }
+    SchedulerOptions opts;
+    opts.threads = static_cast<unsigned>(drains);
+    Scheduler(opts).run(graph);
 }
 
 namespace {

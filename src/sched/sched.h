@@ -38,8 +38,14 @@
  * preallocated slots or commit through an `OrderedSink`, which runs
  * commit closures in strict sequence order regardless of completion
  * order.
+ *
+ * This is the program's one parallel runtime: every `--jobs` loop
+ * outside the relink graph (codegen fan-out, profile aggregation,
+ * record resolution, the per-function layout loop) runs through
+ * `parallelFor`, which is a small graph of drain tasks on a Scheduler.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -50,6 +56,9 @@
 #include <vector>
 
 namespace propeller::sched {
+
+/** Resolve a thread-count request: 0 means "all hardware threads". */
+unsigned resolveThreadCount(unsigned requested);
 
 using TaskId = uint32_t;
 
@@ -255,6 +264,20 @@ class Scheduler
   private:
     SchedulerOptions opts_;
 };
+
+/**
+ * Run fn(i) for every i in [0, n) on up to @p threads threads (0 =
+ * hardware concurrency): min(threads, n) drain tasks on a Scheduler
+ * claim indices from one shared counter.  With one thread or at most
+ * one index the loop runs inline on the caller, in index order.
+ * Determinism is the caller's: write results to slot i and merge in
+ * index order.  The first exception thrown by fn is rethrown once the
+ * run drains; a drain that has not started by then is skipped.  Each
+ * call runs its own Scheduler, so a call from inside a loop body or a
+ * graph task completes.
+ */
+void parallelFor(unsigned threads, size_t n,
+                 const std::function<void(size_t)> &fn);
 
 /**
  * Commits results in strict sequence order: `submit(seq, fn)` may be

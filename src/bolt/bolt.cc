@@ -272,36 +272,33 @@ optimize(const linker::Executable &exe, const BoltProfile &profile,
     }
     stats.functionsProcessed = static_cast<uint32_t>(processed.size());
 
-    std::vector<uint32_t> order = processed;
-    if (opts.reorderFunctions) {
-        std::vector<core::HfsortNode> nodes(processed.size());
-        std::unordered_map<uint32_t, uint32_t> local_of;
-        for (uint32_t i = 0; i < processed.size(); ++i) {
-            uint32_t f = processed[i];
-            nodes[i].size =
-                std::max<uint64_t>(funcs[f].end - funcs[f].start, 1);
-            nodes[i].samples = profiles[f].totalSamples;
-            local_of[f] = i;
-        }
-        std::vector<core::HfsortArc> arcs;
-        for (const auto &[key, weight] : profile.agg.branches) {
-            uint64_t from = profile::AggregatedProfile::keyFrom(key);
-            uint64_t to = profile::AggregatedProfile::keyTo(key);
-            int ff = index.at(from);
-            int ft = index.startingAt(to);
-            if (ff < 0 || ft < 0 || ff == ft)
-                continue;
-            auto itf = local_of.find(ff);
-            auto itt = local_of.find(ft);
-            if (itf == local_of.end() || itt == local_of.end())
-                continue;
-            arcs.push_back({itf->second, itt->second, weight});
-        }
-        std::vector<uint32_t> perm = core::hfsortOrder(nodes, arcs);
-        order.clear();
-        for (uint32_t p : perm)
-            order.push_back(processed[p]);
+    // -reorder-functions=hfsort over the sampled arcs between the
+    // rewritten functions.
+    std::vector<core::HfsortNode> nodes(processed.size());
+    std::unordered_map<uint32_t, uint32_t> local_of;
+    for (uint32_t i = 0; i < processed.size(); ++i) {
+        uint32_t f = processed[i];
+        nodes[i].size = std::max<uint64_t>(funcs[f].end - funcs[f].start, 1);
+        nodes[i].samples = profiles[f].totalSamples;
+        local_of[f] = i;
     }
+    std::vector<core::HfsortArc> arcs;
+    for (const auto &[key, weight] : profile.agg.branches) {
+        uint64_t from = profile::AggregatedProfile::keyFrom(key);
+        uint64_t to = profile::AggregatedProfile::keyTo(key);
+        int ff = index.at(from);
+        int ft = index.startingAt(to);
+        if (ff < 0 || ft < 0 || ff == ft)
+            continue;
+        auto itf = local_of.find(ff);
+        auto itt = local_of.find(ft);
+        if (itf == local_of.end() || itt == local_of.end())
+            continue;
+        arcs.push_back({itf->second, itt->second, weight});
+    }
+    std::vector<uint32_t> order;
+    for (uint32_t p : core::hfsortOrder(nodes, arcs))
+        order.push_back(processed[p]);
 
     // ---- Per-function block layout ---------------------------------------
     // For each processed function: ordered hot blocks + cold block list.

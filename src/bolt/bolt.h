@@ -42,7 +42,6 @@ struct BoltOptions
 
     bool reorderBlocks = true;    ///< -reorder-blocks=cache+ (Ext-TSP).
     bool splitFunctions = true;   ///< -split-functions -split-all-cold.
-    bool reorderFunctions = true; ///< -reorder-functions=hfsort.
 
     /** Align the new text segment to 2 MiB (default; Figure 6 note). */
     bool alignTextTo2M = true;

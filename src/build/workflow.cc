@@ -398,14 +398,6 @@ Workflow::linkOptions()
     return opts;
 }
 
-core::LayoutOptions
-Workflow::defaultLayoutOptions() const
-{
-    // Concurrency is not a layout option: WorkloadConfig::jobs is passed
-    // to every parallel stage explicitly.
-    return core::LayoutOptions{};
-}
-
 const std::vector<elf::ObjectFile> &
 Workflow::phase2Objects()
 {
@@ -668,10 +660,11 @@ Workflow::propellerBinary()
 }
 
 void
-Workflow::recordVerifyReport(const analysis::VerifyReport &rep)
+Workflow::recordVerifyReport(const std::string &phase,
+                             const analysis::VerifyReport &rep)
 {
     PhaseReport report;
-    report.phase = "phase5.verify";
+    report.phase = phase;
     report.makespanSec = cost_.makespan(
         {static_cast<double>(rep.bytesVerified) * cost_.verifySecPerByte},
         1);
@@ -685,7 +678,7 @@ Workflow::recordVerifyReport(const analysis::VerifyReport &rep)
         static_cast<uint32_t>(rep.engine.affectedFunctions().size());
     for (const auto &diag : rep.engine.diagnostics())
         report.failures.push_back(diag.render());
-    reports_["phase5.verify"] = std::move(report);
+    reports_[phase] = std::move(report);
 }
 
 analysis::VerifyOptions
@@ -714,7 +707,7 @@ Workflow::commitVerify(analysis::VerifyReport rep,
                                        metadataBinary(), vopts));
     rep.merge(analysis::lintProfileFlow(*profileDcfg_, vopts));
     profileDcfg_.reset();
-    recordVerifyReport(rep);
+    recordVerifyReport("phase5.verify", rep);
     verify_ = std::move(rep);
 }
 
@@ -758,10 +751,10 @@ Workflow::runRelinkGraph(RelinkStage target)
     const bool use_slots = need_wpa;
     std::vector<sched::TaskId> codegenTask;
     const uint64_t opts_fp =
-        core::layoutOptionsFingerprint(defaultLayoutOptions());
+        core::layoutOptionsFingerprint(core::LayoutOptions{});
 
     if (need_wpa) {
-        pipe.emplace(pm, prof, defaultLayoutOptions(), config_.jobs);
+        pipe.emplace(pm, prof, core::LayoutOptions{}, config_.jobs);
         if (dcfgOverride_) {
             pipe->overrideDcfg(std::move(*dcfgOverride_));
             dcfgOverride_.reset();
@@ -772,10 +765,7 @@ Workflow::runRelinkGraph(RelinkStage target)
         // stage sum matches the phase3.wpa report's single formula.  The
         // shard counts are pure functions of the profile and the
         // worker count, never of the schedule.
-        profile::AggregationOptions agg_probe;
-        agg_probe.threads = config_.jobs;
-        const size_t agg_shards =
-            profile::aggregationShardCount(prof, agg_probe);
+        const size_t agg_shards = profile::aggregationShardCount(prof);
         const size_t resolve_shards =
             std::max<size_t>(1, limits_.workers * 4);
         const double dcfg_cost =
@@ -1298,7 +1288,7 @@ Workflow::iterativePropellerBinary()
     profile::Profile prof2 =
         sim::collectProfile(pm2, workload::profileOptions(config_));
     core::WpaResult wpa2 = core::runWholeProgramAnalysis(
-        pm2, prof2, defaultLayoutOptions(), config_.jobs);
+        pm2, prof2, core::LayoutOptions{}, config_.jobs);
 
     CompileBatch batch = compileModules(&wpa2.ccProf.clusters, nullptr);
     linker::Options po2_opts = linkOptions();
@@ -1369,22 +1359,7 @@ Workflow::verifyBoltBinary(const bolt::BoltOptions &opts,
     // machine-checked findings on this path too.
     analysis::VerifyOptions vopts;
     analysis::VerifyReport rep = analysis::verifyExecutable(exe, vopts);
-
-    PhaseReport report;
-    report.phase = "bolt.verify";
-    report.makespanSec = cost_.makespan(
-        {static_cast<double>(rep.bytesVerified) * cost_.verifySecPerByte},
-        1);
-    report.actions = 1;
-    report.peakActionMemory =
-        rep.instructionsDecoded * 56 + rep.rangesDecoded * 96;
-    report.memoryLimitExceeded =
-        report.peakActionMemory > limits_.ramPerAction;
-    report.quarantined =
-        static_cast<uint32_t>(rep.engine.affectedFunctions().size());
-    for (const auto &diag : rep.engine.diagnostics())
-        report.failures.push_back(diag.render());
-    reports_["bolt.verify"] = std::move(report);
+    recordVerifyReport("bolt.verify", rep);
     return rep;
 }
 

@@ -81,7 +81,7 @@ namespace propeller::buildsys {
 struct BuildLimits
 {
     /** RAM ceiling per build action (link, WPA, codegen). */
-    uint64_t ramPerAction = 120ull << 20;
+    static constexpr uint64_t ramPerAction = 120ull << 20;
 
     /** Concurrent workers executing actions. */
     uint32_t workers = 8;
@@ -91,16 +91,16 @@ struct BuildLimits
      * Remote executors flake; a bounded retry with deterministic
      * exponential backoff absorbs that without hanging the build.
      */
-    uint32_t maxActionRetries = 2;
+    static constexpr uint32_t maxActionRetries = 2;
 
     /** Backoff before retry k is retryBackoffSec * 2^(k-1) seconds. */
-    double retryBackoffSec = 1.0;
+    static constexpr double retryBackoffSec = 1.0;
 
     /**
      * Samples per serialized profile shard on the collection wire path
      * (taken only when fault hooks are attached; see Workflow::profile).
      */
-    uint32_t profileShardSamples = 128;
+    static constexpr uint32_t profileShardSamples = 128;
 };
 
 /**
@@ -511,8 +511,10 @@ class Workflow
     /** Record "phase3.wpa" from the memoized WPA stats. */
     void recordWpaReport();
 
-    /** Record "phase5.verify" from a merged verification report. */
-    void recordVerifyReport(const analysis::VerifyReport &rep);
+    /** Record @p phase ("phase5.verify", "bolt.verify") from a merged
+     *  verification report. */
+    void recordVerifyReport(const std::string &phase,
+                            const analysis::VerifyReport &rep);
 
     /** Options of the one Phase 4 link (ld_prof order, maps kept). */
     linker::Options phase4LinkOptions();
@@ -562,7 +564,6 @@ class Workflow
      * up to @p target is memoized.
      */
     void runRelinkGraph(RelinkStage target);
-    core::LayoutOptions defaultLayoutOptions() const;
     linker::Options linkOptions();
     uint64_t moduleHash(size_t module_index) const;
 

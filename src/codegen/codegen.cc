@@ -24,6 +24,9 @@ using elf::TextPiece;
 
 namespace {
 
+/** Alignment of function (primary) sections. */
+constexpr uint32_t kFunctionAlignment = 16;
+
 /** Planned text section: symbol plus ordered blocks. */
 struct SectionPlan
 {
@@ -76,7 +79,7 @@ planSections(const ir::Function &fn, const Options &opts)
             if (c == 0) {
                 plan.symbol = fn.name;
                 plan.isPrimary = true;
-                plan.alignment = opts.functionAlignment;
+                plan.alignment = kFunctionAlignment;
             } else if (is_cold) {
                 plan.symbol = fn.name + ".cold";
                 plan.alignment = 4;
@@ -97,7 +100,7 @@ planSections(const ir::Function &fn, const Options &opts)
             if (i == 0) {
                 plan.symbol = fn.name;
                 plan.isPrimary = true;
-                plan.alignment = opts.functionAlignment;
+                plan.alignment = kFunctionAlignment;
             } else {
                 plan.symbol =
                     fn.name + ".b" + std::to_string(fn.blocks[i]->id);
@@ -113,7 +116,7 @@ planSections(const ir::Function &fn, const Options &opts)
     SectionPlan plan;
     plan.symbol = fn.name;
     plan.isPrimary = true;
-    plan.alignment = opts.functionAlignment;
+    plan.alignment = kFunctionAlignment;
     for (const auto &bb : fn.blocks)
         plan.blocks.push_back(bb.get());
     plans.push_back(std::move(plan));

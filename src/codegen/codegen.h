@@ -99,9 +99,6 @@ struct Options
      */
     bool emitAddrMapSection = false;
 
-    /** Alignment of function (primary) sections. */
-    uint32_t functionAlignment = 16;
-
     /**
      * Emit DWARF-like debug information (paper section 4.3): a .debug
      * section with DW_AT_ranges descriptors per code fragment, plus the

@@ -246,23 +246,19 @@ aggregate(const Profile &profile)
 }
 
 size_t
-aggregationShardCount(const Profile &profile,
-                      const AggregationOptions &opts)
+aggregationShardCount(const Profile &profile)
 {
-    size_t n = profile.samples.size();
-    size_t per = std::max<uint32_t>(opts.samplesPerShard, 1);
-    return std::max<size_t>((n + per - 1) / per, 1);
+    constexpr size_t per = AggregationOptions::samplesPerShard;
+    return std::max<size_t>((profile.samples.size() + per - 1) / per, 1);
 }
 
 void
-aggregateShardInto(const Profile &profile,
-                   const AggregationOptions &opts, size_t shard,
+aggregateShardInto(const Profile &profile, size_t shard,
                    AggregatedProfile &out)
 {
-    size_t n = profile.samples.size();
-    size_t per = std::max<uint32_t>(opts.samplesPerShard, 1);
+    constexpr size_t per = AggregationOptions::samplesPerShard;
     aggregateRange(profile, shard * per,
-                   std::min(n, (shard + 1) * per), out);
+                   std::min(profile.samples.size(), (shard + 1) * per), out);
 }
 
 AggregatedProfile
@@ -392,10 +388,10 @@ aggregate(const Profile &profile, const AggregationOptions &opts)
     // per-shard maps are built by one worker each, then merged serially
     // in shard order, so the result — down to the hash maps' iteration
     // order — is independent of how many threads ran the shards.
-    size_t shards = aggregationShardCount(profile, opts);
+    size_t shards = aggregationShardCount(profile);
     std::vector<AggregatedProfile> slots(shards);
     sched::parallelFor(opts.threads, shards, [&](size_t s) {
-        aggregateShardInto(profile, opts, s, slots[s]);
+        aggregateShardInto(profile, s, slots[s]);
     });
     return mergeAggregationShards(slots);
 }

@@ -155,7 +155,7 @@ struct AggregationOptions
      * everything downstream that consumes their iteration order) are
      * byte-identical at any thread count.
      */
-    uint32_t samplesPerShard = 4096;
+    static constexpr uint32_t samplesPerShard = 4096;
 };
 
 /** Aggregate raw LBR samples into edge and range counts. */
@@ -168,17 +168,16 @@ AggregatedProfile aggregate(const Profile &profile,
 /**
  * Staged aggregation, for schedulers that want each shard as its own
  * task: the number of shards is a pure function of the profile size
- * and `opts.samplesPerShard` (never of the thread count), each shard
- * aggregates independently into its slot, and `mergeAggregationShards`
- * folds the slots serially in shard order — byte-identical to
- * `aggregate(profile, opts)` under any execution order of the shards.
+ * (`AggregationOptions::samplesPerShard`, never the thread count), each
+ * shard aggregates independently into its slot, and
+ * `mergeAggregationShards` folds the slots serially in shard order —
+ * byte-identical to `aggregate(profile, opts)` under any execution order
+ * of the shards.
  */
-size_t aggregationShardCount(const Profile &profile,
-                             const AggregationOptions &opts);
+size_t aggregationShardCount(const Profile &profile);
 
 /** Aggregate shard @p shard (of aggregationShardCount) into @p out. */
-void aggregateShardInto(const Profile &profile,
-                        const AggregationOptions &opts, size_t shard,
+void aggregateShardInto(const Profile &profile, size_t shard,
                         AggregatedProfile &out);
 
 /** Serial shard-order merge of per-shard slots (slot 0 is the base). */

@@ -72,11 +72,10 @@ AddrMapIndex::AddrMapIndex(const linker::Executable &exe)
     }
     quarantined_.assign(bad.begin(), bad.end());
 
-    std::unordered_map<std::string, uint32_t> func_index;
     for (const auto &map : exe.bbAddrMap) {
         if (bad.count(map.function))
             continue;
-        auto [it, inserted] = func_index.emplace(
+        auto [it, inserted] = funcIndexByName_.emplace(
             map.function, static_cast<uint32_t>(functionNames_.size()));
         if (inserted) {
             functionNames_.push_back(map.function);
@@ -112,8 +111,8 @@ AddrMapIndex::AddrMapIndex(const linker::Executable &exe)
     for (const auto &sym : exe.symbols) {
         if (!sym.isPrimary)
             continue;
-        auto it = func_index.find(sym.parentFunction);
-        if (it == func_index.end())
+        auto it = funcIndexByName_.find(sym.parentFunction);
+        if (it == funcIndexByName_.end())
             continue;
         for (uint32_t idx : funcIntervals_[it->second]) {
             if (intervals_[idx].start == sym.start) {
@@ -169,11 +168,8 @@ AddrMapIndex::blocksOf(uint32_t func_index) const
 int
 AddrMapIndex::findFunction(const std::string &name) const
 {
-    for (size_t i = 0; i < functionNames_.size(); ++i) {
-        if (functionNames_[i] == name)
-            return static_cast<int>(i);
-    }
-    return -1;
+    auto it = funcIndexByName_.find(name);
+    return it == funcIndexByName_.end() ? -1 : static_cast<int>(it->second);
 }
 
 const std::vector<uint32_t> &

@@ -77,7 +77,8 @@ class AddrMapIndex
         return functionNames_;
     }
 
-    /** Find a function index by name; -1 if the binary has no such map. */
+    /** Find a function index by name; -1 if the binary has no such map
+     *  (or its map was quarantined). */
     int findFunction(const std::string &name) const;
 
     /** Whole-function fingerprint (0 when the binary has v1 metadata). */
@@ -126,6 +127,8 @@ class AddrMapIndex
 
     std::vector<Interval> intervals_; ///< Sorted by start address.
     std::vector<std::string> functionNames_;
+    /** Name -> index into functionNames_ (indexed functions only). */
+    std::unordered_map<std::string, uint32_t> funcIndexByName_;
     std::vector<std::string> quarantined_;
     std::vector<uint32_t> entryBlocks_;
     std::vector<uint64_t> functionHashes_;

@@ -9,6 +9,7 @@
 
 #include "propeller/hfsort.h"
 #include "sched/sched.h"
+#include "support/check.h"
 #include "support/hash.h"
 
 namespace propeller::core {
@@ -49,15 +50,20 @@ struct Ctx
     const WholeProgramDcfg &dcfg;
     const AddrMapIndex &index;
     const LayoutOptions &opts;
-    std::unordered_map<std::string, uint32_t> funcIndexByName;
 
     explicit Ctx(const WholeProgramDcfg &d, const AddrMapIndex &i,
                  const LayoutOptions &o)
         : dcfg(d), index(i), opts(o)
     {
-        for (size_t f = 0; f < i.functionNames().size(); ++f)
-            funcIndexByName.emplace(i.functionNames()[f],
-                                    static_cast<uint32_t>(f));
+    }
+
+    /** @p fn's address-map index (every DCFG function has a map). */
+    uint32_t
+    funcIndexOf(const FunctionDcfg &fn) const
+    {
+        int f = index.findFunction(fn.function);
+        PROPELLER_CHECK(f >= 0, "DCFG function missing from the address map");
+        return static_cast<uint32_t>(f);
     }
 
     /** Cold block ids of @p fn, in original (address) order. */
@@ -70,7 +76,7 @@ struct Ctx
                 hot_ids.insert(fn.nodes[i].bbId);
         }
         std::vector<uint32_t> cold;
-        uint32_t func_index = funcIndexByName.at(fn.function);
+        uint32_t func_index = funcIndexOf(fn);
         for (const auto &ref : index.blocksOf(func_index)) {
             if (!hot_ids.count(ref.bbId))
                 cold.push_back(ref.bbId);
@@ -118,7 +124,7 @@ layoutOneFunction(const Ctx &ctx, size_t f)
                 ctx.opts.extTsp, &out.stats);
         } else {
             // Keep original (address) order of the hot blocks.
-            uint32_t func_index = ctx.funcIndexByName.at(fn.function);
+            uint32_t func_index = ctx.funcIndexOf(fn);
             std::unordered_map<uint32_t, uint32_t> idx_of_bb;
             for (size_t i = 0; i < node_bb.size(); ++i)
                 idx_of_bb.emplace(node_bb[i], static_cast<uint32_t>(i));

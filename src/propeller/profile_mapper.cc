@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sched/sched.h"
+#include "support/check.h"
 
 namespace propeller::core {
 
@@ -308,12 +309,11 @@ DcfgMapper::apply(MapperStats *stats_out)
     // ---- Entry nodes -----------------------------------------------------
     // Resolve each sampled function's entry node, inserting it if the
     // entry block itself never appeared in a record (sparse sampling).
-    std::unordered_map<std::string, uint32_t> func_index_by_name;
-    for (size_t i = 0; i < index.functionNames().size(); ++i)
-        func_index_by_name.emplace(index.functionNames()[i],
-                                   static_cast<uint32_t>(i));
     for (auto &fn : graph.functions) {
-        uint32_t func_index = func_index_by_name.at(fn.function);
+        int found = index.findFunction(fn.function);
+        PROPELLER_CHECK(found >= 0,
+                        "DCFG function missing from the address map");
+        const auto func_index = static_cast<uint32_t>(found);
         uint32_t entry_bb = index.entryBlock(func_index);
         int entry_node = -1;
         for (size_t n = 0; n < fn.nodes.size(); ++n) {

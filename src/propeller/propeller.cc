@@ -1,7 +1,6 @@
 #include "propeller/propeller.h"
 
 #include <optional>
-#include <unordered_map>
 
 #include "propeller/addr_map_index.h"
 #include "sched/sched.h"
@@ -30,11 +29,9 @@ struct WpaPipeline::Impl
     uint64_t hotNodes = 0;
 
     // Staged-ingestion state (alive between prepare() and applyDcfg()).
-    profile::AggregationOptions aggOpts;
     std::vector<profile::AggregatedProfile> aggSlots;
     std::optional<profile::AggregatedProfile> agg;
     std::optional<DcfgMapper> mapper;
-    std::unordered_map<std::string, uint32_t> funcIndexByName;
 
     // Injected DCFG (fleet service seam): consumed by applyDcfg() in
     // place of the mapper's output, which then lands in profileDcfg.
@@ -61,10 +58,8 @@ struct WpaPipeline::Impl
         result.stats.profileBytes = prof.sizeInBytes();
         local.charge(result.stats.profileBytes * 2);
 
-        aggOpts.threads = jobs;
         WpaPipeline::IngestPlan plan;
-        plan.aggregationShards =
-            profile::aggregationShardCount(prof, aggOpts);
+        plan.aggregationShards = profile::aggregationShardCount(prof);
         aggSlots.resize(plan.aggregationShards);
         return plan;
     }
@@ -72,8 +67,7 @@ struct WpaPipeline::Impl
     void
     aggregateShard(size_t shard)
     {
-        profile::aggregateShardInto(prof, aggOpts, shard,
-                                    aggSlots[shard]);
+        profile::aggregateShardInto(prof, shard, aggSlots[shard]);
     }
 
     void
@@ -102,9 +96,6 @@ struct WpaPipeline::Impl
         result.stats.quarantined =
             static_cast<uint32_t>(index->quarantined().size());
         local.charge(result.stats.indexFootprint);
-        for (size_t i = 0; i < index->functionNames().size(); ++i)
-            funcIndexByName.emplace(index->functionNames()[i],
-                                    static_cast<uint32_t>(i));
     }
 
     void
@@ -153,27 +144,20 @@ struct WpaPipeline::Impl
         applyDcfg();
     }
 
-    /** The function's index in the address map, or -1 if absent. */
-    int
-    addrMapIndexOf(const FunctionDcfg &fn) const
-    {
-        auto it = funcIndexByName.find(fn.function);
-        return it == funcIndexByName.end() ? -1
-                                           : static_cast<int>(it->second);
-    }
-
     uint64_t
     layoutFingerprint(size_t f) const
     {
         const FunctionDcfg &fn = dcfg->functions[f];
-        return layoutMemoFingerprint(fn, *index, addrMapIndexOf(fn));
+        return layoutMemoFingerprint(fn, *index,
+                                     index->findFunction(fn.function));
     }
 
     uint64_t
     layoutInputDigest(size_t f) const
     {
         const FunctionDcfg &fn = dcfg->functions[f];
-        return core::layoutInputDigest(fn, *index, addrMapIndexOf(fn));
+        return core::layoutInputDigest(fn, *index,
+                                       index->findFunction(fn.function));
     }
 
     WpaResult

@@ -72,27 +72,19 @@ makeVersionProgram(const FleetOptions &opts, uint32_t v)
 }
 
 std::map<std::pair<std::string, uint32_t>, double>
-blockDistribution(const core::WholeProgramDcfg &dcfg, bool weightBySize)
+blockDistribution(const core::WholeProgramDcfg &dcfg)
 {
     std::map<std::pair<std::string, uint32_t>, double> dist;
     double total = 0.0;
     for (const core::FunctionDcfg &fn : dcfg.functions) {
-        for (const core::DcfgNode &n : fn.nodes) {
-            double w = static_cast<double>(n.freq);
-            if (weightBySize)
-                w *= static_cast<double>(std::max<uint32_t>(n.size, 1));
-            total += w;
-        }
+        for (const core::DcfgNode &n : fn.nodes)
+            total += static_cast<double>(n.freq);
     }
     if (total <= 0.0)
         return dist;
     for (const core::FunctionDcfg &fn : dcfg.functions) {
-        for (const core::DcfgNode &n : fn.nodes) {
-            double w = static_cast<double>(n.freq);
-            if (weightBySize)
-                w *= static_cast<double>(std::max<uint32_t>(n.size, 1));
-            dist[{fn.function, n.bbId}] += w / total;
-        }
+        for (const core::DcfgNode &n : fn.nodes)
+            dist[{fn.function, n.bbId}] += static_cast<double>(n.freq) / total;
     }
     return dist;
 }
@@ -164,10 +156,8 @@ struct FleetService::Impl
     bool combinedValid = false;
     std::set<std::string> primeFns;
 
-    /** Per-(function, block) shares at the last successful relink:
-     *  byte-size weighted and unweighted (the ablation twin). */
-    std::map<std::pair<std::string, uint32_t>, double> snapshotW;
-    std::map<std::pair<std::string, uint32_t>, double> snapshotU;
+    /** Per-(function, block) shares at the last successful relink. */
+    std::map<std::pair<std::string, uint32_t>, double> snapshot;
 
     /** Layout keys/digests this service has written to the cache image
      *  (the lower bound for warm-hit accounting; the image on disk may
@@ -197,7 +187,7 @@ struct FleetService::Impl
     profile::AggregatedProfile
     canonAggregate(uint32_t v, std::vector<Arrival> &arrivals) const;
     void rebuildCombined();
-    double activeMetric() const;
+    double driftMetric() const;
     void relink(uint32_t epoch, double metric, bool forced);
 };
 
@@ -519,14 +509,7 @@ FleetService::Impl::stepEpoch()
         ++es.machinesByVersion[machineVersion[m]];
 
     rebuildCombined();
-    es.driftMetricUnweighted =
-        totalVariation(blockDistribution(combined, false), snapshotU);
-    if (opts.weightedDrift) {
-        es.driftMetric =
-            totalVariation(blockDistribution(combined, true), snapshotW);
-    } else {
-        es.driftMetric = es.driftMetricUnweighted;
-    }
+    es.driftMetric = driftMetric();
     es.relinked = es.driftMetric > opts.driftThreshold;
     es.relinkRetried = !es.relinked && pendingRelink && combinedValid;
 
@@ -680,13 +663,9 @@ FleetService::Impl::rebuildCombined()
 }
 
 double
-FleetService::Impl::activeMetric() const
+FleetService::Impl::driftMetric() const
 {
-    if (opts.weightedDrift) {
-        return totalVariation(blockDistribution(combined, true),
-                              snapshotW);
-    }
-    return totalVariation(blockDistribution(combined, false), snapshotU);
+    return totalVariation(blockDistribution(combined), snapshot);
 }
 
 void
@@ -774,7 +753,7 @@ FleetService::Impl::relink(uint32_t epoch, double metric, bool forced)
         // Acceptance gate: never ship an artifact the static verifier
         // rejects.  A dirty report fails the attempt exactly like a
         // crashed one — the last-good binary keeps serving.
-        if (opts.verifyRelinks && !wf.verifyReport().clean()) {
+        if (!wf.verifyReport().clean()) {
             ++rec.failedAttempts;
             ++det.relinkFailures;
             continue;
@@ -797,7 +776,7 @@ FleetService::Impl::relink(uint32_t epoch, double metric, bool forced)
         rec.expectedHits = expected_hits;
         rec.expectedPrimedHits = expected_primed;
         rec.primedFunctions = primeFns.size();
-        rec.verifierClean = opts.verifyRelinks;
+        rec.verifierClean = true;
         if (wf.hasRelinkSchedule())
             rec.schedule = wf.relinkSchedule();
 
@@ -806,8 +785,7 @@ FleetService::Impl::relink(uint32_t epoch, double metric, bool forced)
         lastDcfg = combined;
         lastWpa = wf.wpa();
         lastPrime = primeFns;
-        snapshotW = blockDistribution(combined, true);
-        snapshotU = blockDistribution(combined, false);
+        snapshot = blockDistribution(combined);
         for (const auto &[key, dkey] : keys) {
             knownLayoutKeys.insert(key);
             knownLayoutDigests.insert(dkey);
@@ -857,7 +835,7 @@ FleetService::run(uint32_t epochs)
 void
 FleetService::relinkNow()
 {
-    impl_->relink(impl_->epochsRun, impl_->activeMetric(),
+    impl_->relink(impl_->epochsRun, impl_->driftMetric(),
                   /*forced=*/true);
 }
 

@@ -41,11 +41,10 @@
  *
  * A drift metric (total-variation distance between the combined DCFG's
  * per-block frequency distribution and the snapshot taken at the last
- * relink; optionally weighted by block byte size, FleetOptions::
- * weightedDrift) is evaluated every epoch; when it crosses the
- * configured threshold the service triggers an incremental relink: a
- * fresh buildsys::Workflow over the target version with the combined
- * DCFG injected (overrideDcfg), the persisted artifact-cache image
+ * relink) is evaluated every epoch; when it crosses the configured
+ * threshold the service triggers an incremental relink: a fresh
+ * buildsys::Workflow over the target version with the combined DCFG
+ * injected (overrideDcfg), the persisted artifact-cache image
  * loaded from disk, and the stale matcher's drifted-but-matched
  * function set priming the layout tier (setLayoutPrimeFunctions).
  *
@@ -126,7 +125,7 @@ struct FleetOptions
     uint32_t upgradesPerEpoch = 2;
 
     /** Scale the combined DCFG's heaviest branch count to this. */
-    uint64_t freqResolution = 1'000'000;
+    static constexpr uint64_t freqResolution = 1'000'000;
 
     /**
      * Seed for the per-epoch shard arrival shuffle.  Ingestion
@@ -143,31 +142,12 @@ struct FleetOptions
      *  service restarts).  Empty = "<base.name>.fleet.cache". */
     std::string cachePath;
 
-    /**
-     * Weight the total-variation drift metric by block byte size: a hot
-     * 200-byte block shifting its share moves the metric 100x more than
-     * a hot 2-byte block, matching the i-cache/iTLB footprint the
-     * relink actually reorganizes.  The unweighted metric is always
-     * computed alongside (EpochStats::driftMetricUnweighted) for
-     * ablation.
-     */
-    bool weightedDrift = false;
-
     /** Relink attempts retried beyond the first, per trigger. */
-    uint32_t maxRelinkRetries = 2;
+    static constexpr uint32_t maxRelinkRetries = 2;
 
     /** Backoff before relink retry k is relinkBackoffSec * 2^(k-1)
      *  modelled seconds (accumulated in RelinkRecord::backoffSec). */
-    double relinkBackoffSec = 30.0;
-
-    /**
-     * Run the static verifier (the Workflow's phase 5, over the relink
-     * image with its address maps) on every relink output and treat a
-     * diagnostic as a failed attempt — the "never ship an unverified
-     * binary" contract.  On by default; tests that only exercise
-     * ingestion may turn it off for speed.
-     */
-    bool verifyRelinks = true;
+    static constexpr double relinkBackoffSec = 30.0;
 };
 
 /**
@@ -280,12 +260,8 @@ struct EpochStats
     /** Version index -> machines running it when the epoch ended. */
     std::map<uint32_t, uint32_t> machinesByVersion;
 
-    /** Active drift metric vs the last-relink snapshot, in [0, 1]
-     *  (byte-size weighted iff FleetOptions::weightedDrift). */
+    /** Drift metric vs the last-relink snapshot, in [0, 1]. */
     double driftMetric = 0.0;
-
-    /** The unweighted metric, always computed (ablation twin). */
-    double driftMetricUnweighted = 0.0;
 
     bool relinked = false; ///< The metric crossed the threshold.
 
@@ -328,9 +304,8 @@ struct RelinkRecord
      *  the service re-attempts next epoch (degraded mode). */
     bool quarantined = false;
 
-    /** The shipped artifact passed the static verifier (always true on
-     *  success when FleetOptions::verifyRelinks; false when
-     *  quarantined — nothing new shipped). */
+    /** The shipped artifact passed the static verifier (true on
+     *  success; false when quarantined — nothing new shipped). */
     bool verifierClean = false;
 
     /** Generation stamp of the artifact serving *after* this relink
@@ -465,10 +440,10 @@ class FleetService
  */
 ir::Program makeVersionProgram(const FleetOptions &opts, uint32_t v);
 
-/** Per-(function, block) frequency shares of @p dcfg, optionally
- *  weighted by block byte size (the drift metric's distribution). */
+/** Per-(function, block) frequency shares of @p dcfg (the drift
+ *  metric's distribution). */
 std::map<std::pair<std::string, uint32_t>, double>
-blockDistribution(const core::WholeProgramDcfg &dcfg, bool weightBySize);
+blockDistribution(const core::WholeProgramDcfg &dcfg);
 
 /** Total-variation distance between two share distributions, in
  *  [0, 1]; an empty side counts as completely disjoint. */

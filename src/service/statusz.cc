@@ -63,11 +63,10 @@ renderStatuszText(const FleetService &service)
     os << fmt("machines %u  versions %u  target v%u  epochs run %u\n",
               opts.machines, service.versionCount(),
               service.targetVersion(), service.epochsRun());
-    os << fmt("drift threshold %.4f (%s)  decay %.3f (window %u)  "
+    os << fmt("drift threshold %.4f  decay %.3f (window %u)  "
               "release epoch %u\n",
-              opts.driftThreshold,
-              opts.weightedDrift ? "size-weighted" : "unweighted",
-              opts.decay, opts.decayWindow, opts.releaseEpoch);
+              opts.driftThreshold, opts.decay, opts.decayWindow,
+              opts.releaseEpoch);
     os << "cache image: " << opts.cachePath << "\n";
     os << fmt("serving generation %" PRIu64 "%s\n", service.generation(),
               service.degraded() ? "  [DEGRADED: last-good artifact]"
@@ -138,9 +137,8 @@ renderStatuszText(const FleetService &service)
                   r.layoutHits, r.layoutPrimedHits, r.layoutMisses,
                   r.expectedHits, r.expectedPrimedHits);
         os << fmt("    object tier: %" PRIu64 " hit(s);  primed "
-                  "functions: %" PRIu64 ";  verifier %s\n",
-                  r.objectHits, r.primedFunctions,
-                  r.verifierClean ? "clean" : "not run");
+                  "functions: %" PRIu64 ";  verifier clean\n",
+                  r.objectHits, r.primedFunctions);
         if (r.schedule.tasksExecuted > 0)
             os << indent(sched::summarizeSchedule(r.schedule), "    ");
     }
@@ -160,8 +158,6 @@ renderStatuszJson(const FleetService &service)
     os << fmt("  \"target_version\": %u,\n", service.targetVersion());
     os << fmt("  \"epochs_run\": %u,\n", service.epochsRun());
     os << fmt("  \"drift_threshold\": %.6f,\n", opts.driftThreshold);
-    os << fmt("  \"weighted_drift\": %s,\n",
-              opts.weightedDrift ? "true" : "false");
     os << fmt("  \"drift_crossings\": %u,\n", service.driftCrossings());
     os << fmt("  \"generation\": %" PRIu64 ",\n", service.generation());
     os << fmt("  \"degraded\": %s,\n",
@@ -203,13 +199,11 @@ renderStatuszJson(const FleetService &service)
                   "\"shards_lost\": %u, \"arrival_inversions\": %u, "
                   "\"shard_lag_peak\": %u, "
                   "\"drift_metric\": %.6f, "
-                  "\"drift_metric_unweighted\": %.6f, "
                   "\"relinked\": %s, \"relink_retried\": %s, ",
                   es.epoch, es.shardsIngested, es.shardsRejected,
                   es.shardsDuplicated, es.shardsLate, es.shardsExpired,
                   es.shardsLost, es.arrivalInversions, es.shardLagPeak,
-                  es.driftMetric, es.driftMetricUnweighted,
-                  es.relinked ? "true" : "false",
+                  es.driftMetric, es.relinked ? "true" : "false",
                   es.relinkRetried ? "true" : "false");
         os << "\"samples_by_version\": {";
         bool first = true;

@@ -162,8 +162,7 @@ execute(const linker::Executable &exe, const MachineOptions &opts,
     // 2: invalid).  A hot loop re-executes the same few offsets for the
     // whole run, so this removes decode from the per-instruction path.
     constexpr uint64_t kMaxCachedText = 64ull << 20;
-    const bool use_decode_cache =
-        opts.decodeCache && text_size > 0 && text_size <= kMaxCachedText;
+    const bool use_decode_cache = text_size > 0 && text_size <= kMaxCachedText;
     std::vector<Instruction> decoded_at;
     std::vector<uint8_t> decode_state;
     if (use_decode_cache) {

@@ -27,6 +27,13 @@
  * and is the evaluation machine.  collectProfile() drives none: the LBR
  * stream depends only on retired control flow, so profiling skips the
  * caches, iTLB and predictor and still takes byte-identical samples.
+ *
+ * Both cache decoded instructions by text offset whenever the text fits
+ * an offset-indexed table (up to 64 MiB).  The text is immutable for the
+ * whole run and decoding is a pure function of the bytes at an offset,
+ * so caching cannot change any architectural or modelled behavior — it
+ * only stops profile collection from re-decoding the same hot PCs
+ * millions of times.  Larger texts decode every instruction.
  */
 
 #include <cstdint>
@@ -114,16 +121,6 @@ struct MachineOptions
 
     /** Record every Nth data-cache miss into the miss profile. */
     uint32_t missSamplePeriod = 8;
-
-    /**
-     * Cache decoded instructions by text offset.  The text is immutable
-     * for the whole run and decoding is a pure function of the bytes at
-     * an offset, so caching cannot change any architectural or modelled
-     * behavior — it only stops profile collection from re-decoding the
-     * same hot PCs millions of times.  (Disabled automatically for texts
-     * too large for an offset-indexed table.)
-     */
-    bool decodeCache = true;
 
     UarchConfig uarch;
 };

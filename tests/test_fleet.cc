@@ -638,44 +638,7 @@ TEST(FleetService, CanaryAddTargetRetireRollsBackCleanly)
 }
 
 // ---------------------------------------------------------------------
-// Byte-size-weighted drift metric (satellite)
-
-TEST(FleetDrift, WeightedAndUnweightedMetricsDiffer)
-{
-    fleet::FleetOptions fo = fleetOptions("test_fleet_wdrift.cache");
-    fo.weightedDrift = true;
-    fleet::FleetService svc(std::move(fo));
-    svc.run(4);
-
-    bool sawDifference = false;
-    for (const fleet::EpochStats &es : svc.history()) {
-        EXPECT_GE(es.driftMetric, 0.0);
-        EXPECT_LE(es.driftMetric, 1.0);
-        EXPECT_GE(es.driftMetricUnweighted, 0.0);
-        EXPECT_LE(es.driftMetricUnweighted, 1.0);
-        if (es.driftMetric != es.driftMetricUnweighted)
-            sawDifference = true;
-        // The active metric drives the trigger.
-        EXPECT_EQ(es.relinked,
-                  es.driftMetric > svc.options().driftThreshold)
-            << "epoch " << es.epoch;
-    }
-    EXPECT_TRUE(sawDifference);
-
-    // The unweighted twin equals what an unweighted service computes.
-    fleet::FleetOptions uo = fleetOptions("test_fleet_udrift.cache");
-    uo.weightedDrift = false;
-    fleet::FleetService usvc(std::move(uo));
-    usvc.run(4);
-    for (size_t e = 0; e < 4; ++e) {
-        EXPECT_EQ(usvc.history()[e].driftMetric,
-                  usvc.history()[e].driftMetricUnweighted)
-            << "epoch " << e;
-        EXPECT_EQ(svc.history()[e].driftMetricUnweighted,
-                  usvc.history()[e].driftMetricUnweighted)
-            << "epoch " << e;
-    }
-}
+// Drift metric
 
 TEST(FleetDrift, TotalVariationHelperProperties)
 {
@@ -704,7 +667,7 @@ TEST(FleetStatusz, JsonCarriesChaosAndRollbackKeys)
 
     const std::string json = fleet::renderStatuszJson(svc);
     const char *keys[] = {
-        "\"workload\"",       "\"weighted_drift\"",
+        "\"workload\"",
         "\"generation\"",     "\"degraded\"",
         "\"detection\"",      "\"machine_health\"",
         "\"corrupt\"",        "\"duplicates\"",
@@ -714,13 +677,17 @@ TEST(FleetStatusz, JsonCarriesChaosAndRollbackKeys)
         "\"shards_duplicated\"", "\"shards_late\"",
         "\"shards_expired\"", "\"shards_lost\"",
         "\"arrival_inversions\"", "\"shard_lag_peak\"",
-        "\"drift_metric_unweighted\"", "\"relink_retried\"",
+        "\"relink_retried\"",
         "\"attempts\"",       "\"failed_attempts\"",
         "\"backoff_sec\"",    "\"quarantined\"",
         "\"verifier_clean\"",
     };
     for (const char *key : keys)
         EXPECT_NE(json.find(key), std::string::npos) << key;
+    // One drift metric: the size-weighted twin's keys are gone.
+    for (const char *gone :
+         {"\"weighted_drift\"", "\"drift_metric_unweighted\""})
+        EXPECT_EQ(json.find(gone), std::string::npos) << gone;
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
 

@@ -99,6 +99,34 @@ TEST(AddrMapIndex, BlocksOfReturnsAllBlocks)
     EXPECT_FALSE(index.block(0, 99).has_value());
 }
 
+TEST(AddrMapIndex, FindFunctionMatchesFunctionNames)
+{
+    linker::Executable exe = metadataTiny();
+    // A repeated block id makes "work"'s map inconsistent, so the
+    // damaged copy's index quarantines it.
+    linker::Executable damaged = exe;
+    auto work = std::find_if(
+        damaged.bbAddrMap.begin(), damaged.bbAddrMap.end(),
+        [](const linker::ExecFuncMap &m) { return m.function == "work"; });
+    ASSERT_NE(work, damaged.bbAddrMap.end());
+    ASSERT_GE(work->blocks.size(), 2u);
+    work->blocks[1].bbId = work->blocks[0].bbId;
+
+    for (const linker::Executable *e : {&exe, &damaged}) {
+        AddrMapIndex index(*e);
+        const std::vector<std::string> &names = index.functionNames();
+        for (size_t i = 0; i < names.size(); ++i)
+            EXPECT_EQ(index.findFunction(names[i]), static_cast<int>(i))
+                << names[i];
+        EXPECT_EQ(index.findFunction("no_such_function"), -1);
+    }
+
+    AddrMapIndex index(damaged);
+    ASSERT_EQ(index.quarantined(), std::vector<std::string>{"work"});
+    EXPECT_EQ(index.functionNames().size(), 1u);
+    EXPECT_EQ(index.findFunction("work"), -1);
+}
+
 TEST(ProfileMapper, RecoversGroundTruthEdges)
 {
     linker::Executable exe = metadataTiny();

@@ -110,9 +110,6 @@ std::string g_cache_path;
 std::string g_chaos_spec;
 bool g_chaos_requested = false;
 
-/** serve: weight the drift metric by block byte size. */
-bool g_weighted_drift = false;
-
 /** serve: canary rollout/rollback epochs (~0u = disabled). */
 unsigned g_canary_at = ~0u;
 unsigned g_rollback_at = ~0u;
@@ -645,7 +642,6 @@ cmdServe(const std::string &name)
     fo.driftThreshold = g_drift_threshold;
     fo.decay = g_decay;
     fo.cachePath = g_cache_path;
-    fo.weightedDrift = g_weighted_drift;
 
     std::unique_ptr<faultinject::ChaosSchedule> chaos;
     if (g_chaos_requested) {
@@ -665,9 +661,8 @@ cmdServe(const std::string &name)
     }
 
     std::printf("fleet service: %u machine(s) on %u version(s) of %s, "
-                "drift threshold %.3f (%s)%s\n",
+                "drift threshold %.3f%s\n",
                 fo.machines, fo.versions, name.c_str(), fo.driftThreshold,
-                fo.weightedDrift ? "size-weighted" : "unweighted",
                 chaos ? ", chaos on" : "");
 
     const uint32_t decayWindow = fo.decayWindow;
@@ -782,8 +777,6 @@ usage()
                 "                      a torn image cold-starts cleanly)\n"
                 "  --statusz-out FILE  serve: write the statusz page as\n"
                 "                      JSON\n"
-                "  --weighted-drift    serve: weight the drift metric by\n"
-                "                      block byte size\n"
                 "  --chaos S           serve: seeded shard-stream chaos\n"
                 "                      spec, e.g. seed=7,drop=0.1,\n"
                 "                      dup=0.1,delay=0.2,maxdelay=2,\n"
@@ -934,10 +927,6 @@ main(int argc, char **argv)
         if (arg == "--chaos" && i + 1 < argc) {
             g_chaos_spec = argv[++i];
             g_chaos_requested = true;
-            continue;
-        }
-        if (arg == "--weighted-drift") {
-            g_weighted_drift = true;
             continue;
         }
         if (arg == "--canary-at" && i + 1 < argc) {

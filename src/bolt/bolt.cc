@@ -309,7 +309,7 @@ optimize(const linker::Executable &exe, const BoltProfile &profile,
         const BoltFunction &fn = funcs[f];
         const FuncProfile &fp = profiles[f];
         size_t nblocks = fn.blocks.size();
-        if (fp.totalSamples == 0 || !opts.reorderBlocks) {
+        if (fp.totalSamples == 0) {
             for (uint32_t b = 0; b < nblocks; ++b)
                 hot_layout[f].push_back(b);
             continue;
@@ -346,12 +346,8 @@ optimize(const linker::Executable &exe, const BoltProfile &profile,
         for (uint32_t i : horder)
             hot_layout[f].push_back(lblock[i]);
         for (uint32_t b = 0; b < nblocks; ++b) {
-            if (!hot[b]) {
-                if (opts.splitFunctions)
-                    cold_layout[f].push_back(b);
-                else
-                    hot_layout[f].push_back(b);
-            }
+            if (!hot[b])
+                cold_layout[f].push_back(b);
         }
     }
 

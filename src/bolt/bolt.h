@@ -40,9 +40,6 @@ struct BoltOptions
      */
     bool lite = false;
 
-    bool reorderBlocks = true;    ///< -reorder-blocks=cache+ (Ext-TSP).
-    bool splitFunctions = true;   ///< -split-functions -split-all-cold.
-
     /** Align the new text segment to 2 MiB (default; Figure 6 note). */
     bool alignTextTo2M = true;
 };

@@ -961,7 +961,7 @@ Workflow::runRelinkGraph(RelinkStage target)
         graph.addEdge(applyTask, orderTask);
     }
 
-    // ---- Phase 4: per-module codegen + per-object link assembly ---------
+    // ---- Phase 4: per-module codegen + the link -------------------------
     CompileBatch batch;
     std::vector<char> isHit;
     sched::OrderedSink sink;
@@ -1037,12 +1037,11 @@ Workflow::runRelinkGraph(RelinkStage target)
         for (size_t i = 0; i < nmod; ++i) {
             assembleTask[i] = graph.add(
                 [&, i] {
-                    // Stream this object toward the link and copy its
-                    // sections into the output image — both per-object
-                    // parallel (linkers write disjoint output ranges
-                    // concurrently).  Fetch cost depends on whether the
-                    // object was a cache hit; only symbol resolution
-                    // and layout finalization stay on the link task.
+                    // Modelled cost only: this task does no work.  It
+                    // prices fetching the object (a cache hit is
+                    // cheaper) and its per-byte share of the link, as
+                    // a linker that streams objects in would pay it.
+                    // The whole real link runs in link:po below.
                     graph.setCost(
                         assembleTask[i],
                         static_cast<double>(

@@ -1,9 +1,10 @@
 #include "linker/linker.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "isa/isa.h"
 #include "support/check.h"
@@ -31,18 +32,31 @@ alignUp(uint64_t value, uint64_t alignment)
     return (value + alignment - 1) / alignment * alignment;
 }
 
+Opcode
+relaxedForm(Opcode op)
+{
+    return op == Opcode::JccNear ? Opcode::JccShort : Opcode::JmpShort;
+}
+
 /** Encoding state of one branch site. */
 enum class SiteState : uint8_t { Deleted, Short, Long };
 
+/**
+ * One branch site, resolved once: its target section and the flat slot
+ * of its target block, so sizing and emission never look a name up.
+ */
 struct Site
 {
     const BranchSite *src = nullptr;
-    uint32_t sect = 0;   ///< Owning internal section index.
-    uint64_t offset = 0; ///< Offset within section (per iteration).
-    int32_t targetSect = -1;
+    uint32_t sect = 0;       ///< Owning section.
+    uint32_t targetSect = 0;
+    int32_t targetSlot = -1; ///< Target block slot; -1 = section start.
+    uint8_t longSize = 0;
+    uint8_t shortSize = 0;
+    bool isCall = false;
+    bool isFallThrough = false;
     SiteState state = SiteState::Long;
-
-    bool isCall() const { return src->op == Opcode::Call; }
+    uint64_t offset = 0; ///< Offset within section (per iteration).
 
     uint64_t
     encodedSize() const
@@ -51,44 +65,91 @@ struct Site
           case SiteState::Deleted:
             return 0;
           case SiteState::Short:
-            return isa::Instruction::sizeOf(src->op == Opcode::JccNear
-                                                ? Opcode::JccShort
-                                                : Opcode::JmpShort);
+            return shortSize;
           case SiteState::Long:
-            return isa::Instruction::sizeOf(src->op);
+            return longSize;
         }
         return 0;
     }
 };
 
-/** One flattened content unit of an internal section. */
+/** One text piece: a byte run, maybe starting a block, maybe a site. */
 struct Chunk
 {
-    int32_t blockSlot = -1;                    ///< Starts this block slot.
-    const std::vector<uint8_t> *bytes = nullptr; ///< May be empty.
-    int32_t siteIndex = -1;                    ///< Trailing branch site.
+    const uint8_t *bytes = nullptr;
+    uint64_t size = 0;
+    int32_t blockSlot = -1; ///< Block slot this chunk starts.
+    int32_t site = -1;      ///< Trailing branch site.
 };
 
-/** Internal, relaxable representation of one input text section. */
+/**
+ * One input text section.  Its pieces and blocks are contiguous ranges
+ * of the link's flat chunk and block-slot arrays.
+ */
 struct Sect
 {
-    std::string symbol;
-    std::string parentFunction;
-    std::string objectName;
-    bool isPrimary = false;
-    bool isHandAsm = false;
-    uint32_t alignment = 1;
-
-    std::vector<Chunk> chunks;
-    std::vector<uint32_t> blockIds;   ///< Slot -> bb id.
-    std::vector<uint8_t> blockFlags;  ///< Slot -> BbFlags.
-    std::unordered_map<uint32_t, uint32_t> slotOf;
+    const elf::Symbol *sym = nullptr;
+    const Section *sec = nullptr;
+    uint32_t object = 0;
+    uint32_t function = 0; ///< Dense id of sym->parentFunction.
+    uint32_t chunkBegin = 0;
+    uint32_t chunkEnd = 0;
+    uint32_t blockBegin = 0;
+    uint32_t blockEnd = 0;
 
     // Recomputed each sizing iteration.
-    std::vector<uint64_t> blockOffsets;
     uint64_t addr = 0;
     uint64_t size = 0;
 };
+
+/**
+ * Block-id lookup of every function, one flat table of per-function
+ * slices.  A function's slice has as many entries as the function has
+ * block slots in the text; ids past that bound (and repeats a slice
+ * cannot hold) go to a hash map, so no id, however large, sizes an
+ * allocation.
+ */
+template <typename T>
+class BlockTable
+{
+  public:
+    BlockTable(const std::vector<uint32_t> &base,
+               const std::vector<uint32_t> &count, uint32_t total, T unset)
+        : base_(base), count_(count), dense_(total, unset), unset_(unset)
+    {
+    }
+
+    /** Entry of block @p id in function @p fn's slice, or nullptr. */
+    T *
+    dense(uint32_t fn, uint32_t id)
+    {
+        return id < count_[fn] ? &dense_[base_[fn] + id] : nullptr;
+    }
+
+    /** Store @p value under @p key unless the key is taken. */
+    void spill(uint64_t key, T value) { overflow_.emplace(key, value); }
+
+    /** Value stored under @p key, or the unset value. */
+    T
+    spilled(uint64_t key) const
+    {
+        auto it = overflow_.find(key);
+        return it == overflow_.end() ? unset_ : it->second;
+    }
+
+  private:
+    const std::vector<uint32_t> &base_;
+    const std::vector<uint32_t> &count_;
+    std::vector<T> dense_;
+    std::unordered_map<uint64_t, T> overflow_;
+    T unset_;
+};
+
+uint64_t
+pairKey(uint32_t hi, uint32_t lo)
+{
+    return static_cast<uint64_t>(hi) << 32 | lo;
+}
 
 } // namespace
 
@@ -99,86 +160,161 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
     LinkStats stats;
     MemoryMeter meter;
 
-    // ---- Gather sections and symbols -----------------------------------
+    // ---- Gather sections and symbols into flat arrays -------------------
     std::vector<Sect> sects;
+    std::vector<Chunk> chunks;
     std::vector<Site> sites;
-    std::unordered_map<std::string, uint32_t> sect_by_symbol;
+    std::vector<uint32_t> block_ids;   ///< Slot -> bb id.
+    std::vector<uint8_t> block_flags;  ///< Slot -> BbFlags.
+    std::unordered_map<std::string_view, uint32_t> sect_by_symbol;
+    std::unordered_map<std::string_view, uint32_t> function_ids;
 
+    size_t text_sections = 0, pieces = 0;
     for (const auto &obj : objects) {
+        for (const auto &sec : obj.sections) {
+            if (sec.type == SectionType::Text) {
+                ++text_sections;
+                pieces += sec.pieces.size();
+            }
+        }
+    }
+    sects.reserve(text_sections);
+    chunks.reserve(pieces);
+    sect_by_symbol.reserve(text_sections);
+
+    std::vector<const elf::Symbol *> sym_of_section;
+    for (uint32_t oi = 0; oi < objects.size(); ++oi) {
+        const ObjectFile &obj = objects[oi];
         stats.inputBytes += obj.sizeInBytes();
 
-        // Map section index -> defining symbol within this object.
-        std::unordered_map<uint32_t, const elf::Symbol *> sym_of_section;
-        for (const auto &sym : obj.symbols)
-            sym_of_section[sym.sectionIndex] = &sym;
+        // Section index -> defining symbol within this object (the last
+        // symbol naming a section defines it).
+        sym_of_section.assign(obj.sections.size(), nullptr);
+        for (const auto &sym : obj.symbols) {
+            if (sym.sectionIndex < sym_of_section.size())
+                sym_of_section[sym.sectionIndex] = &sym;
+        }
 
         for (size_t si = 0; si < obj.sections.size(); ++si) {
             const Section &sec = obj.sections[si];
             if (sec.type != SectionType::Text)
                 continue;
-            auto sym_it = sym_of_section.find(static_cast<uint32_t>(si));
-            if (sym_it == sym_of_section.end())
+            const elf::Symbol *sym = sym_of_section[si];
+            if (!sym)
                 return makeError(ErrorCode::kMalformed,
                                  "object " + obj.name + ": text section " +
                                      sec.name + " has no defining symbol");
-            const elf::Symbol *sym = sym_it->second;
 
             Sect sect;
-            sect.symbol = sym->name;
-            sect.parentFunction = sym->parentFunction;
-            sect.objectName = obj.name;
-            sect.isPrimary = sym->kind == elf::SymbolKind::Function;
-            sect.isHandAsm = sec.isHandAsm;
-            sect.alignment = sec.alignment;
-
+            sect.sym = sym;
+            sect.sec = &sec;
+            sect.object = oi;
+            sect.function =
+                function_ids
+                    .emplace(sym->parentFunction,
+                             static_cast<uint32_t>(function_ids.size()))
+                    .first->second;
+            sect.chunkBegin = static_cast<uint32_t>(chunks.size());
+            sect.blockBegin = static_cast<uint32_t>(block_ids.size());
             for (const auto &piece : sec.pieces) {
                 Chunk chunk;
+                chunk.bytes = piece.bytes.data();
+                chunk.size = piece.bytes.size();
                 if (piece.block) {
-                    chunk.blockSlot =
-                        static_cast<int32_t>(sect.blockIds.size());
-                    sect.slotOf.emplace(piece.block->bbId,
-                                        sect.blockIds.size());
-                    sect.blockIds.push_back(piece.block->bbId);
-                    sect.blockFlags.push_back(piece.block->flags);
+                    chunk.blockSlot = static_cast<int32_t>(block_ids.size());
+                    block_ids.push_back(piece.block->bbId);
+                    block_flags.push_back(piece.block->flags);
                 }
-                chunk.bytes = &piece.bytes;
                 if (piece.site) {
-                    chunk.siteIndex = static_cast<int32_t>(sites.size());
+                    chunk.site = static_cast<int32_t>(sites.size());
                     Site site;
                     site.src = &*piece.site;
                     site.sect = static_cast<uint32_t>(sects.size());
+                    site.longSize = static_cast<uint8_t>(
+                        isa::Instruction::sizeOf(piece.site->op));
+                    site.shortSize = static_cast<uint8_t>(
+                        isa::Instruction::sizeOf(
+                            relaxedForm(piece.site->op)));
+                    site.isCall = piece.site->op == Opcode::Call;
+                    site.isFallThrough = piece.site->isFallThrough;
                     sites.push_back(site);
                 }
-                sect.chunks.push_back(chunk);
+                chunks.push_back(chunk);
             }
-            sect.blockOffsets.resize(sect.blockIds.size(), 0);
+            sect.chunkEnd = static_cast<uint32_t>(chunks.size());
+            sect.blockEnd = static_cast<uint32_t>(block_ids.size());
 
             bool inserted =
                 sect_by_symbol
-                    .emplace(sect.symbol,
-                             static_cast<uint32_t>(sects.size()))
+                    .emplace(sym->name, static_cast<uint32_t>(sects.size()))
                     .second;
             if (!inserted)
                 return makeError(ErrorCode::kMalformed,
-                                 "duplicate section symbol " + sect.symbol +
+                                 "duplicate section symbol " + sym->name +
                                      " (object " + obj.name + ")");
-            sects.push_back(std::move(sect));
+            sects.push_back(sect);
         }
     }
+    const uint32_t num_functions =
+        static_cast<uint32_t>(function_ids.size());
+    const uint32_t num_slots = static_cast<uint32_t>(block_ids.size());
 
-    // Resolve every site's target section now that all symbols are known,
-    // and validate block-level targets up front so the layout loop below
-    // can index without re-checking.
+    // Each function's slice of the block tables holds as many ids as the
+    // function has block slots.
+    std::vector<uint32_t> fn_slot_base(num_functions, 0);
+    std::vector<uint32_t> fn_slot_count(num_functions, 0);
+    for (const Sect &sect : sects)
+        fn_slot_count[sect.function] += sect.blockEnd - sect.blockBegin;
+    for (uint32_t f = 1; f < num_functions; ++f)
+        fn_slot_base[f] = fn_slot_base[f - 1] + fn_slot_count[f - 1];
+
+    // Block id -> first slot with that id in its section.  A section's
+    // first slot of an id is the function's first slot of it unless an
+    // earlier section holds the id too; such repeats, and ids past the
+    // slice, are keyed by (section, id) instead.
+    BlockTable<int32_t> slot_of(fn_slot_base, fn_slot_count, num_slots, -1);
+    for (uint32_t si = 0; si < sects.size(); ++si) {
+        const Sect &sect = sects[si];
+        for (uint32_t slot = sect.blockBegin; slot < sect.blockEnd; ++slot) {
+            int32_t *entry = slot_of.dense(sect.function, block_ids[slot]);
+            if (entry && *entry < 0)
+                *entry = static_cast<int32_t>(slot);
+            else
+                slot_of.spill(pairKey(si, block_ids[slot]),
+                              static_cast<int32_t>(slot));
+        }
+    }
+    auto firstSlot = [&](uint32_t si, uint32_t bb_id) -> int32_t {
+        const Sect &sect = sects[si];
+        if (const int32_t *entry = slot_of.dense(sect.function, bb_id)) {
+            if (*entry >= static_cast<int32_t>(sect.blockBegin) &&
+                *entry < static_cast<int32_t>(sect.blockEnd))
+                return *entry;
+        }
+        return slot_of.spilled(pairKey(si, bb_id));
+    };
+
+    // Resolve every site's target section and block once, now that all
+    // symbols are known; the layout loop below only reads the results.
+    // Most branches stay inside their own section, whose symbol needs
+    // no lookup.
     for (auto &site : sites) {
-        auto it = sect_by_symbol.find(site.src->targetSymbol);
-        if (it == sect_by_symbol.end())
-            return makeError(ErrorCode::kUnresolved,
-                             "unresolved symbol " + site.src->targetSymbol +
-                                 " (referenced from " +
-                                 sects[site.sect].symbol + ")");
-        site.targetSect = static_cast<int32_t>(it->second);
-        if (site.src->targetBb != elf::kSectionStart &&
-            !sects[it->second].slotOf.count(site.src->targetBb))
+        const std::string &target = site.src->targetSymbol;
+        if (target == sects[site.sect].sym->name) {
+            site.targetSect = site.sect;
+        } else {
+            auto it = sect_by_symbol.find(target);
+            if (it == sect_by_symbol.end())
+                return makeError(ErrorCode::kUnresolved,
+                                 "unresolved symbol " + target +
+                                     " (referenced from " +
+                                     sects[site.sect].sym->name + ")");
+            site.targetSect = it->second;
+        }
+        if (site.src->targetBb == elf::kSectionStart)
+            continue;
+        site.targetSlot = firstSlot(site.targetSect, site.src->targetBb);
+        if (site.targetSlot < 0)
             return makeError(ErrorCode::kUnresolved,
                              "branch to unmapped block #" +
                                  std::to_string(site.src->targetBb) +
@@ -190,10 +326,7 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
     meter.charge(192 * 1024);
     meter.charge(stats.inputBytes);
     meter.charge(sects.size() * 160 + sites.size() * 56);
-    uint64_t block_count = 0;
-    for (const auto &s : sects)
-        block_count += s.blockIds.size();
-    meter.charge(block_count * 24);
+    meter.charge(uint64_t{num_slots} * 24);
 
     uint64_t base = opts.textBase;
     if (opts.hugePagesText)
@@ -208,6 +341,7 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
     // its sections drop out of the ordered prefix back to input order,
     // and sizing reruns.  Each round quarantines at least one new
     // function, so the loop terminates.
+    std::vector<uint64_t> block_offsets(num_slots, 0);
     std::vector<uint32_t> order;
     order.reserve(sects.size());
 
@@ -215,14 +349,15 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
         uint64_t cursor = base;
         for (uint32_t idx : order) {
             Sect &sect = sects[idx];
-            sect.addr = alignUp(cursor, sect.alignment);
+            sect.addr = alignUp(cursor, sect.sec->alignment);
             uint64_t off = 0;
-            for (const Chunk &chunk : sect.chunks) {
+            for (uint32_t c = sect.chunkBegin; c < sect.chunkEnd; ++c) {
+                const Chunk &chunk = chunks[c];
                 if (chunk.blockSlot >= 0)
-                    sect.blockOffsets[chunk.blockSlot] = off;
-                off += chunk.bytes->size();
-                if (chunk.siteIndex >= 0) {
-                    Site &site = sites[chunk.siteIndex];
+                    block_offsets[chunk.blockSlot] = off;
+                off += chunk.size;
+                if (chunk.site >= 0) {
+                    Site &site = sites[chunk.site];
                     site.offset = off;
                     off += site.encodedSize();
                 }
@@ -234,14 +369,9 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
     };
 
     auto targetAddress = [&](const Site &site) {
-        const Sect &target = sects[site.targetSect];
-        if (site.src->targetBb == elf::kSectionStart)
-            return target.addr;
-        // Validated when sites were resolved above.
-        auto it = target.slotOf.find(site.src->targetBb);
-        PROPELLER_CHECK(it != target.slotOf.end(),
-                        "branch to unmapped block");
-        return target.addr + target.blockOffsets[it->second];
+        uint64_t addr = sects[site.targetSect].addr;
+        return site.targetSlot < 0 ? addr
+                                   : addr + block_offsets[site.targetSlot];
     };
 
     // Displacements the near (rel32) forms can encode, possibly narrowed
@@ -249,21 +379,28 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
     const int64_t max_disp =
         std::min<int64_t>(opts.maxBranchDisplacement, INT32_MAX);
 
-    std::set<std::string> quarantined_fns;
+    // The symbol ordering file, resolved once (paper 3.4).
+    std::vector<uint32_t> ordered;
+    ordered.reserve(opts.symbolOrder.size());
+    for (const auto &name : opts.symbolOrder) {
+        auto it = sect_by_symbol.find(name);
+        if (it != sect_by_symbol.end())
+            ordered.push_back(it->second);
+    }
+
+    std::set<std::string_view> quarantined_fns; // Sorted, for reports.
+    std::vector<uint8_t> fn_quarantined(num_functions, 0);
+    std::vector<uint8_t> placed(sects.size(), 0);
     uint64_t image_end = 0;
     for (;;) {
-        // Global layout order (symbol ordering file, paper 3.4), minus
-        // quarantined functions.
+        // Global layout order, minus quarantined functions.
         order.clear();
-        std::vector<bool> placed(sects.size(), false);
-        for (const auto &name : opts.symbolOrder) {
-            auto it = sect_by_symbol.find(name);
-            if (it == sect_by_symbol.end() || placed[it->second])
+        std::fill(placed.begin(), placed.end(), 0);
+        for (uint32_t idx : ordered) {
+            if (placed[idx] || fn_quarantined[sects[idx].function])
                 continue;
-            if (quarantined_fns.count(sects[it->second].parentFunction))
-                continue;
-            placed[it->second] = true;
-            order.push_back(it->second);
+            placed[idx] = 1;
+            order.push_back(idx);
         }
         for (uint32_t i = 0; i < sects.size(); ++i) {
             if (!placed[i])
@@ -282,7 +419,7 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
             computeLayout();
             changed = false;
             for (auto &site : sites) {
-                if (site.isCall())
+                if (site.isCall)
                     continue;
                 uint64_t site_start = sects[site.sect].addr + site.offset;
                 uint64_t target = targetAddress(site);
@@ -292,18 +429,13 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
                     // Fall-through deletion: the jump lands exactly past
                     // its own encoding, so removing it preserves control
                     // flow.
-                    if (site.src->isFallThrough &&
+                    if (site.isFallThrough &&
                         target == site_start + site.encodedSize()) {
                         desired = SiteState::Deleted;
                     } else {
-                        Opcode short_op = site.src->op == Opcode::JccNear
-                                              ? Opcode::JccShort
-                                              : Opcode::JmpShort;
-                        uint64_t short_size =
-                            isa::Instruction::sizeOf(short_op);
                         int64_t disp = static_cast<int64_t>(target) -
-                                       static_cast<int64_t>(site_start +
-                                                            short_size);
+                                       static_cast<int64_t>(
+                                           site_start + site.shortSize);
                         desired = isa::fitsRel8(disp) ? SiteState::Short
                                                       : SiteState::Long;
                     }
@@ -326,27 +458,30 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
         // Scan every surviving site for displacement overflow.  Short
         // forms were verified by fitsRel8 during sizing; near forms
         // (including calls) must fit max_disp.
-        std::set<std::string> offenders;
+        std::map<std::string_view, uint32_t> offenders; // Name -> id.
         for (const auto &site : sites) {
             if (site.state != SiteState::Long)
                 continue;
             uint64_t site_start = sects[site.sect].addr + site.offset;
             int64_t disp = static_cast<int64_t>(targetAddress(site)) -
-                           static_cast<int64_t>(site_start +
-                                                site.encodedSize());
-            if (disp > max_disp || disp < -max_disp - 1)
-                offenders.insert(sects[site.sect].parentFunction);
+                           static_cast<int64_t>(site_start + site.longSize);
+            if (disp > max_disp || disp < -max_disp - 1) {
+                const Sect &sect = sects[site.sect];
+                offenders.emplace(sect.sym->parentFunction, sect.function);
+            }
         }
         if (offenders.empty())
             break;
 
         bool progress = false;
-        for (const auto &fn : offenders)
-            progress |= quarantined_fns.insert(fn).second;
+        for (auto [name, f] : offenders) {
+            progress |= quarantined_fns.insert(name).second;
+            fn_quarantined[f] = 1;
+        }
         if (!opts.quarantineOnOverflow || !progress)
             return makeError(ErrorCode::kOutOfRange,
                              "branch displacement overflow in function " +
-                                 *offenders.begin());
+                                 std::string(offenders.begin()->first));
     }
     stats.sectionsLinked = static_cast<uint32_t>(order.size());
     stats.quarantinedFunctions =
@@ -370,32 +505,22 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
                     static_cast<uint8_t>(Opcode::Nop));
     meter.charge(exe.text.size());
 
+    std::vector<uint8_t> encoded; // One encoding buffer for every site.
     for (uint32_t idx : order) {
         const Sect &sect = sects[idx];
-        uint64_t pos = sect.addr - base;
-        std::vector<uint8_t> encoded;
-        for (const Chunk &chunk : sect.chunks) {
-            std::copy(chunk.bytes->begin(), chunk.bytes->end(),
-                      exe.text.begin() + pos);
-            pos += chunk.bytes->size();
-            if (chunk.siteIndex < 0)
+        uint8_t *out = exe.text.data() + (sect.addr - base);
+        for (uint32_t c = sect.chunkBegin; c < sect.chunkEnd; ++c) {
+            const Chunk &chunk = chunks[c];
+            out = std::copy(chunk.bytes, chunk.bytes + chunk.size, out);
+            if (chunk.site < 0)
                 continue;
-            const Site &site = sites[chunk.siteIndex];
+            const Site &site = sites[chunk.site];
             if (site.state == SiteState::Deleted)
                 continue;
             isa::Instruction inst;
-            switch (site.state) {
-              case SiteState::Short:
-                inst.op = site.src->op == Opcode::JccNear
-                              ? Opcode::JccShort
-                              : Opcode::JmpShort;
-                break;
-              case SiteState::Long:
-                inst.op = site.src->op;
-                break;
-              case SiteState::Deleted:
-                break;
-            }
+            inst.op = site.state == SiteState::Short
+                          ? relaxedForm(site.src->op)
+                          : site.src->op;
             inst.flags = site.src->flags;
             inst.bias = site.src->bias;
             inst.branchId = site.src->branchId;
@@ -411,25 +536,23 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
             inst.encode(encoded);
             PROPELLER_CHECK(encoded.size() == site.encodedSize(),
                             "encoded size mismatch");
-            std::copy(encoded.begin(), encoded.end(),
-                      exe.text.begin() + pos);
-            pos += encoded.size();
+            out = std::copy(encoded.begin(), encoded.end(), out);
         }
-        PROPELLER_CHECK(pos == sect.addr - base + sect.size,
+        PROPELLER_CHECK(out == exe.text.data() + (sect.addr - base) +
+                                   sect.size,
                         "section emit cursor mismatch");
     }
 
     // ---- Symbols, BB map, integrity checks ------------------------------
-    std::unordered_map<std::string, size_t> func_map_index;
-    std::vector<ExecFuncMap> func_maps;
-    std::unordered_map<std::string, bool> addr_map_kept;
     // Decoded from the actual section *bytes*, not the structured
     // ObjectFile field: the bytes are what a cache or disk corruption
     // hits, and decoding them here is what turns that corruption into a
     // per-object metadata rejection instead of silent bad mappings.
-    std::unordered_map<std::string, std::vector<elf::FunctionAddrMap>>
-        decoded_maps;
-    for (const auto &obj : objects) {
+    std::vector<uint8_t> addr_map_kept(objects.size(), 0);
+    std::vector<std::vector<elf::FunctionAddrMap>> decoded_maps(
+        objects.size());
+    for (uint32_t oi = 0; oi < objects.size(); ++oi) {
+        const ObjectFile &obj = objects[oi];
         int sect_idx = obj.findSection(".bb_addr_map");
         bool dropped =
             opts.stripAddrMaps ||
@@ -439,7 +562,7 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
             auto maps =
                 elf::decodeAddrMapsChecked(obj.sections[sect_idx].bytes);
             if (maps.ok()) {
-                decoded_maps[obj.name] = std::move(maps).value();
+                decoded_maps[oi] = std::move(maps).value();
             } else {
                 // Degrade: this object's functions become unprofiled
                 // (baseline layout downstream), the relink proceeds.
@@ -448,74 +571,90 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
                 stats.rejectedAddrMapObjects.push_back(obj.name);
             }
         }
-        addr_map_kept[obj.name] = kept;
+        addr_map_kept[oi] = kept;
     }
 
     // Stale-profile fingerprints live in the object address maps (the
-    // emitted sections only carry block marks); index them by function so
-    // the final ExecFuncMap can be annotated below.  The decoded maps are
-    // link-local, so successor lists move out of them: codegen emits each
-    // block of a function once, into exactly one section.
-    struct FuncFp
-    {
-        uint64_t functionHash = 0;
-        std::unordered_map<uint32_t, elf::BbEntry *> blocks;
-    };
-    std::unordered_map<std::string, FuncFp> fp_of;
-    for (const auto &obj : objects) {
-        if (!addr_map_kept[obj.name])
+    // emitted sections only carry block marks); index them by function
+    // and block id so the final ExecFuncMap can be annotated below.  The
+    // first entry of an id wins and a function's hash is its last map's.
+    // The decoded maps are link-local, so successor lists move out of
+    // them: codegen emits each block of a function once, into exactly
+    // one section.
+    BlockTable<elf::BbEntry *> fp_of(fn_slot_base, fn_slot_count,
+                                     num_slots, nullptr);
+    std::vector<uint64_t> fn_hash(num_functions, 0);
+    for (uint32_t oi = 0; oi < objects.size(); ++oi) {
+        if (!addr_map_kept[oi])
             continue;
-        for (auto &map : decoded_maps[obj.name]) {
-            FuncFp &fp = fp_of[map.functionName];
-            fp.functionHash = map.functionHash;
+        for (auto &map : decoded_maps[oi]) {
+            auto fit = function_ids.find(map.functionName);
+            if (fit == function_ids.end())
+                continue; // No section of this function is linked.
+            const uint32_t f = fit->second;
+            fn_hash[f] = map.functionHash;
             for (auto &range : map.ranges) {
-                for (auto &bb : range.blocks)
-                    fp.blocks.emplace(bb.bbId, &bb);
+                for (auto &bb : range.blocks) {
+                    elf::BbEntry **entry = fp_of.dense(f, bb.bbId);
+                    if (entry && !*entry)
+                        *entry = &bb;
+                    else if (!entry)
+                        fp_of.spill(pairKey(f, bb.bbId), &bb);
+                }
             }
         }
     }
+    auto fingerprint = [&](uint32_t f, uint32_t bb_id) -> elf::BbEntry * {
+        if (elf::BbEntry **entry = fp_of.dense(f, bb_id))
+            return *entry;
+        return fp_of.spilled(pairKey(f, bb_id));
+    };
 
+    // Blocks each function map will hold, so each is allocated once.
+    std::vector<uint32_t> fn_map_blocks(num_functions, 0);
+    for (const Sect &sect : sects) {
+        if (!sect.sec->isHandAsm && addr_map_kept[sect.object])
+            fn_map_blocks[sect.function] += sect.blockEnd - sect.blockBegin;
+    }
+
+    std::vector<int32_t> fn_map_index(num_functions, -1);
+    std::vector<ExecFuncMap> func_maps;
+    exe.symbols.reserve(order.size());
     for (uint32_t idx : order) {
         const Sect &sect = sects[idx];
         FuncRange range;
-        range.name = sect.symbol;
-        range.parentFunction = sect.parentFunction;
+        range.name = sect.sym->name;
+        range.parentFunction = sect.sym->parentFunction;
         range.start = sect.addr;
         range.end = sect.addr + sect.size;
-        range.isPrimary = sect.isPrimary;
-        range.isHandAsm = sect.isHandAsm;
+        range.isPrimary = sect.sym->kind == elf::SymbolKind::Function;
+        range.isHandAsm = sect.sec->isHandAsm;
         exe.symbols.push_back(std::move(range));
 
-        if (sect.isHandAsm || !addr_map_kept[sect.objectName])
+        if (sect.sec->isHandAsm || !addr_map_kept[sect.object])
             continue;
 
-        auto [it, inserted] =
-            func_map_index.emplace(sect.parentFunction, func_maps.size());
-        if (inserted)
-            func_maps.push_back(ExecFuncMap{sect.parentFunction, {}});
-        ExecFuncMap &map = func_maps[it->second];
+        const uint32_t f = sect.function;
+        if (fn_map_index[f] < 0) {
+            fn_map_index[f] = static_cast<int32_t>(func_maps.size());
+            func_maps.push_back(
+                ExecFuncMap{sect.sym->parentFunction, {}, fn_hash[f]});
+            func_maps.back().blocks.reserve(fn_map_blocks[f]);
+        }
+        ExecFuncMap &map = func_maps[fn_map_index[f]];
 
-        FuncFp *fp = nullptr;
-        if (auto fit = fp_of.find(sect.parentFunction); fit != fp_of.end())
-            fp = &fit->second;
-        if (fp)
-            map.functionHash = fp->functionHash;
-
-        for (size_t slot = 0; slot < sect.blockIds.size(); ++slot) {
+        for (uint32_t slot = sect.blockBegin; slot < sect.blockEnd; ++slot) {
             ExecBlock block;
-            block.bbId = sect.blockIds[slot];
-            block.address = sect.addr + sect.blockOffsets[slot];
-            uint64_t next = slot + 1 < sect.blockIds.size()
-                                ? sect.addr + sect.blockOffsets[slot + 1]
+            block.bbId = block_ids[slot];
+            block.address = sect.addr + block_offsets[slot];
+            uint64_t next = slot + 1 < sect.blockEnd
+                                ? sect.addr + block_offsets[slot + 1]
                                 : sect.addr + sect.size;
             block.size = static_cast<uint32_t>(next - block.address);
-            block.flags = sect.blockFlags[slot];
-            if (fp) {
-                auto bit = fp->blocks.find(block.bbId);
-                if (bit != fp->blocks.end()) {
-                    block.hash = bit->second->hash;
-                    block.succs = std::move(bit->second->succs);
-                }
+            block.flags = block_flags[slot];
+            if (elf::BbEntry *bb = fingerprint(f, block.bbId)) {
+                block.hash = bb->hash;
+                block.succs = std::move(bb->succs);
             }
             map.blocks.push_back(std::move(block));
         }
@@ -526,17 +665,20 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
     // FrameDescriptor::codeLength predates relaxation, so each FDE's
     // covered range is the post-relaxation section extent.
     {
-        std::unordered_set<std::string> fde_symbols;
+        std::vector<uint8_t> has_fde(sects.size(), 0);
         for (const auto &obj : objects) {
-            for (const auto &fde : obj.frames)
-                fde_symbols.insert(fde.sectionSymbol);
+            for (const auto &fde : obj.frames) {
+                auto it = sect_by_symbol.find(fde.sectionSymbol);
+                if (it != sect_by_symbol.end())
+                    has_fde[it->second] = 1;
+            }
         }
         for (uint32_t idx : order) {
             const Sect &sect = sects[idx];
-            if (!fde_symbols.count(sect.symbol))
+            if (!has_fde[idx])
                 continue;
             exe.frames.push_back(FrameCoverage{
-                sect.symbol, sect.addr, sect.addr + sect.size});
+                sect.sym->name, sect.addr, sect.addr + sect.size});
         }
     }
 
@@ -583,14 +725,15 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
 
     // ---- Size breakdown (Figure 6) --------------------------------------
     exe.sizes.text = exe.text.size();
-    for (const auto &obj : objects) {
+    for (uint32_t oi = 0; oi < objects.size(); ++oi) {
+        const ObjectFile &obj = objects[oi];
         for (const auto &sec : obj.sections) {
             switch (sec.type) {
               case SectionType::EhFrame:
                 exe.sizes.ehFrame += sec.size();
                 break;
               case SectionType::BbAddrMap:
-                if (addr_map_kept[obj.name])
+                if (addr_map_kept[oi])
                     exe.sizes.bbAddrMap += sec.size();
                 break;
               case SectionType::Debug:

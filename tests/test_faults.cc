@@ -358,6 +358,281 @@ TEST(LinkerTypedErrors, MissingEntrySymbolIsError)
               std::string::npos);
 }
 
+/** Index of the text section whose defining symbol is @p name. */
+size_t
+textSectionOf(const elf::ObjectFile &obj, const std::string &name)
+{
+    for (const auto &sym : obj.symbols) {
+        if (sym.name == name)
+            return sym.sectionIndex;
+    }
+    ADD_FAILURE() << "no symbol " << name;
+    return 0;
+}
+
+/** Drop the symbol that defines @p name's section. */
+void
+eraseSymbol(elf::ObjectFile &obj, const std::string &name)
+{
+    std::erase_if(obj.symbols,
+                  [&](const elf::Symbol &sym) { return sym.name == name; });
+}
+
+/** Rename symbol @p from to @p to (a duplicate if @p to exists). */
+void
+renameSymbol(elf::ObjectFile &obj, const std::string &from,
+             const std::string &to)
+{
+    for (auto &sym : obj.symbols) {
+        if (sym.name == from)
+            sym.name = to;
+    }
+}
+
+/** tinyProgram with one text section per block (work, work.b1, ...). */
+std::vector<elf::ObjectFile>
+blockSectionObjects(bool addr_maps = false)
+{
+    codegen::Options copts;
+    copts.bbSections = codegen::BbSectionsMode::All;
+    copts.emitAddrMapSection = addr_maps;
+    return codegen::compileProgram(test::tinyProgram(), copts);
+}
+
+TEST(LinkerTypedErrors, TextSectionWithoutSymbolIsError)
+{
+    auto objects = codegen::compileProgram(test::tinyProgram(), {});
+    eraseSymbol(objects[0], "work");
+    linker::Options opts;
+    opts.entrySymbol = "main";
+    auto exe = linker::linkChecked(objects, opts);
+    ASSERT_FALSE(exe.ok());
+    EXPECT_EQ(exe.status().code(), support::ErrorCode::kMalformed);
+    EXPECT_NE(exe.status().message().find("has no defining symbol"),
+              std::string::npos)
+        << exe.status().toString();
+}
+
+TEST(LinkerTypedErrors, BranchToUnmappedBlockIsError)
+{
+    auto objects = blockSectionObjects();
+    bool corrupted = false;
+    for (auto &sec : objects[0].sections) {
+        for (auto &piece : sec.pieces) {
+            if (!corrupted && piece.site &&
+                piece.site->targetBb != elf::kSectionStart) {
+                piece.site->targetBb = 999;
+                corrupted = true;
+            }
+        }
+    }
+    ASSERT_TRUE(corrupted);
+    linker::Options opts;
+    opts.entrySymbol = "main";
+    auto exe = linker::linkChecked(objects, opts);
+    ASSERT_FALSE(exe.ok());
+    EXPECT_EQ(exe.status().code(), support::ErrorCode::kUnresolved);
+    EXPECT_NE(exe.status().message().find("branch to unmapped block #999"),
+              std::string::npos)
+        << exe.status().toString();
+}
+
+TEST(LinkerTypedErrors, IntegrityCheckWithoutSectionSymbolIsError)
+{
+    auto objects = codegen::compileProgram(test::tinyProgram(), {});
+    objects[0].integrityCheckedFunctions.push_back("ghost");
+    linker::Options opts;
+    opts.entrySymbol = "main";
+    auto exe = linker::linkChecked(objects, opts);
+    ASSERT_FALSE(exe.ok());
+    EXPECT_EQ(exe.status().code(), support::ErrorCode::kUnresolved);
+    EXPECT_NE(exe.status().message().find(
+                  "integrity-checked function ghost has no section symbol"),
+              std::string::npos)
+        << exe.status().toString();
+}
+
+TEST(LinkerTypedErrors, FirstErrorInSectionOrderWins)
+{
+    // One object carries both a text section without a defining symbol
+    // and a duplicate section symbol; whichever section comes first in
+    // the object reports.
+    linker::Options opts;
+    opts.entrySymbol = "main";
+    {
+        auto objects = blockSectionObjects();
+        ASSERT_LT(textSectionOf(objects[0], "work.b1"),
+                  textSectionOf(objects[0], "work.b2"));
+        renameSymbol(objects[0], "work.b1", "work");
+        eraseSymbol(objects[0], "work.b2");
+        auto exe = linker::linkChecked(objects, opts);
+        ASSERT_FALSE(exe.ok());
+        EXPECT_EQ(exe.status().code(), support::ErrorCode::kMalformed);
+        EXPECT_NE(exe.status().message().find("duplicate section symbol"),
+                  std::string::npos)
+            << exe.status().toString();
+    }
+    {
+        auto objects = blockSectionObjects();
+        eraseSymbol(objects[0], "work.b1");
+        renameSymbol(objects[0], "work.b2", "work");
+        auto exe = linker::linkChecked(objects, opts);
+        ASSERT_FALSE(exe.ok());
+        EXPECT_EQ(exe.status().code(), support::ErrorCode::kMalformed);
+        EXPECT_NE(exe.status().message().find("has no defining symbol"),
+                  std::string::npos)
+            << exe.status().toString();
+    }
+}
+
+TEST(LinkerTypedErrors, RepeatedBlockIdResolvesToFirstSlot)
+{
+    // Append a second block marked with the id of a Jcc target's block:
+    // the branch must still land on the first block with that id.
+    auto objects = blockSectionObjects(true);
+    elf::ObjectFile &obj = objects[0];
+    const elf::BranchSite *jcc = nullptr;
+    for (const auto &sec : obj.sections) {
+        for (const auto &piece : sec.pieces) {
+            if (!jcc && piece.site && piece.site->op == isa::Opcode::JccNear)
+                jcc = &*piece.site;
+        }
+    }
+    ASSERT_NE(jcc, nullptr);
+    const std::string target_symbol = jcc->targetSymbol;
+    const uint32_t target_bb = jcc->targetBb;
+    elf::Section &target =
+        obj.sections[textSectionOf(obj, target_symbol)];
+    elf::TextPiece extra;
+    extra.block = elf::BlockMark{target_bb, 0};
+    extra.bytes.assign(4, static_cast<uint8_t>(isa::Opcode::Nop));
+    target.pieces.push_back(std::move(extra));
+
+    linker::Options opts;
+    opts.entrySymbol = "main";
+    auto exe = linker::linkChecked(objects, opts);
+    ASSERT_TRUE(exe.ok()) << exe.status().toString();
+    const linker::FuncRange *range = exe->findSymbol(target_symbol);
+    ASSERT_NE(range, nullptr);
+
+    std::vector<uint64_t> slots;
+    for (const auto &map : exe->bbAddrMap) {
+        for (const auto &block : map.blocks) {
+            if (block.bbId == target_bb && block.address >= range->start &&
+                block.address < range->end)
+                slots.push_back(block.address);
+        }
+    }
+    ASSERT_EQ(slots.size(), 2u);
+    EXPECT_EQ(slots[0], range->start);
+
+    // Every decoded branch into the section lands on the first slot.
+    uint32_t into_first = 0, into_second = 0;
+    for (const auto &sym : exe->symbols) {
+        uint64_t pc = sym.start;
+        while (pc < sym.end) {
+            auto inst = isa::decode(exe->text.data() + (pc - exe->textBase),
+                                    sym.end - pc);
+            ASSERT_TRUE(inst.has_value());
+            if (inst->isCondBranch() || inst->isUncondBranch()) {
+                uint64_t dest = pc + inst->size() + inst->rel;
+                into_first += dest == slots[0];
+                into_second += dest == slots[1];
+            }
+            pc += inst->size();
+        }
+    }
+    EXPECT_GT(into_first, 0u);
+    EXPECT_EQ(into_second, 0u);
+}
+
+TEST(LinkerTypedErrors, HugeBlockIdInValidMapLinksAndAnnotates)
+{
+    // A checksum-valid map may carry any 32-bit block id.  The linker
+    // must index it without sizing anything by the id.
+    constexpr uint32_t kHugeId = 0xFFFFFFF0u;
+    codegen::Options copts;
+    copts.emitAddrMapSection = true;
+    auto objects = codegen::compileProgram(test::tinyProgram(), copts);
+    elf::ObjectFile &obj = objects[0];
+    const uint32_t old_id = 3; // work's return block.
+
+    const size_t work = textSectionOf(obj, "work");
+    uint32_t retargeted = 0;
+    for (auto &sec : obj.sections) {
+        for (auto &piece : sec.pieces) {
+            if (piece.site && piece.site->targetSymbol == "work" &&
+                piece.site->targetBb == old_id) {
+                piece.site->targetBb = kHugeId;
+                ++retargeted;
+            }
+        }
+    }
+    for (auto &piece : obj.sections[work].pieces) {
+        if (piece.block && piece.block->bbId == old_id)
+            piece.block->bbId = kHugeId;
+    }
+    ASSERT_GT(retargeted, 0u);
+    uint64_t want_hash = 0;
+    for (auto &map : obj.addrMaps) {
+        if (map.functionName != "work")
+            continue;
+        for (auto &range : map.ranges) {
+            for (auto &bb : range.blocks) {
+                if (bb.bbId == old_id) {
+                    bb.bbId = kHugeId;
+                    want_hash = bb.hash;
+                }
+                for (auto &succ : bb.succs) {
+                    if (succ == old_id)
+                        succ = kHugeId;
+                }
+            }
+        }
+    }
+    ASSERT_NE(want_hash, 0u);
+    obj.sections[obj.findSection(".bb_addr_map")].bytes =
+        elf::encodeAddrMaps(obj.addrMaps);
+
+    linker::Options opts;
+    opts.entrySymbol = "main";
+    const linker::Executable before = linker::link(
+        codegen::compileProgram(test::tinyProgram(), copts), opts);
+    linker::LinkStats stats;
+    auto exe = linker::linkChecked(objects, opts, &stats);
+    ASSERT_TRUE(exe.ok()) << exe.status().toString();
+    EXPECT_EQ(stats.addrMapsRejected, 0u);
+
+    const linker::ExecBlock *huge = nullptr;
+    uint32_t preds = 0;
+    for (const auto &map : exe->bbAddrMap) {
+        for (const auto &block : map.blocks) {
+            if (block.bbId == kHugeId) {
+                EXPECT_EQ(map.function, "work");
+                huge = &block;
+            }
+            for (uint32_t succ : block.succs)
+                preds += succ == kHugeId;
+        }
+    }
+    ASSERT_NE(huge, nullptr);
+    EXPECT_EQ(huge->hash, want_hash);
+    EXPECT_GT(preds, 0u);
+
+    // Renaming a block moves no byte.
+    EXPECT_EQ(exe->text, before.text);
+    ASSERT_EQ(exe->bbAddrMap.size(), before.bbAddrMap.size());
+    for (size_t f = 0; f < before.bbAddrMap.size(); ++f) {
+        const auto &a = exe->bbAddrMap[f].blocks;
+        const auto &b = before.bbAddrMap[f].blocks;
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].address, b[i].address);
+            EXPECT_EQ(a[i].hash, b[i].hash);
+        }
+    }
+}
+
 TEST(LinkerQuarantine, OverflowRevertsFunctionNotBuild)
 {
     // tinyProgram plus a large pad function: an adversarial symbol order

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "build/workflow.h"
 #include "codegen/codegen.h"
 #include "linker/linker.h"
+#include "support/hash.h"
 #include "test_util.h"
 
 namespace propeller::linker {
@@ -301,6 +303,214 @@ TEST(Linker, DeterministicOutput)
     Executable b = link(compiled(program), baseOptions());
     EXPECT_EQ(a.text, b.text);
     EXPECT_EQ(a.entryAddress, b.entryAddress);
+}
+
+// ---- Golden link digests ----------------------------------------------
+//
+// One digest over every Executable and LinkStats field, per link shape
+// the pipeline runs.  The twin and engine-identity tests compare this
+// linker with itself, so a change that shifts the output the same way on
+// every path shows only here.  The expected values were computed with
+// the map-keyed linker that the flat-array linker replaced.
+
+class Digest
+{
+  public:
+    void add(uint64_t v) { h_ = hashCombine(h_, v); }
+
+    void
+    add(const std::string &s)
+    {
+        add(s.size());
+        h_ = fnv1a(s, h_);
+    }
+
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_ = kFnvOffset;
+};
+
+uint64_t
+linkDigest(const Executable &exe, const LinkStats &stats)
+{
+    Digest d;
+    d.add(exe.name);
+    d.add(exe.textBase);
+    d.add(exe.entryAddress);
+    d.add(exe.text.size());
+    d.add(fnv1a(exe.text));
+    d.add(exe.identityHash);
+    d.add(exe.hugePagesText ? 1 : 0);
+    d.add(exe.symbols.size());
+    for (const auto &sym : exe.symbols) {
+        d.add(sym.name);
+        d.add(sym.parentFunction);
+        d.add(sym.start);
+        d.add(sym.end);
+        d.add(sym.isPrimary ? 1 : 0);
+        d.add(sym.isHandAsm ? 1 : 0);
+    }
+    d.add(exe.bbAddrMap.size());
+    for (const auto &map : exe.bbAddrMap) {
+        d.add(map.function);
+        d.add(map.functionHash);
+        d.add(map.blocks.size());
+        for (const auto &block : map.blocks) {
+            d.add(block.bbId);
+            d.add(block.address);
+            d.add(block.size);
+            d.add(block.flags);
+            d.add(block.hash);
+            d.add(block.succs.size());
+            for (uint32_t succ : block.succs)
+                d.add(succ);
+        }
+    }
+    d.add(exe.integrityChecks.size());
+    for (const auto &check : exe.integrityChecks) {
+        d.add(check.function);
+        d.add(check.expectedHash);
+    }
+    d.add(exe.frames.size());
+    for (const auto &frame : exe.frames) {
+        d.add(frame.sectionSymbol);
+        d.add(frame.start);
+        d.add(frame.end);
+    }
+    d.add(exe.sizes.text);
+    d.add(exe.sizes.ehFrame);
+    d.add(exe.sizes.bbAddrMap);
+    d.add(exe.sizes.relocs);
+    d.add(exe.sizes.debug);
+    d.add(exe.sizes.other);
+
+    d.add(stats.inputBytes);
+    d.add(stats.sectionsLinked);
+    d.add(stats.fallThroughsDeleted);
+    d.add(stats.branchesShrunk);
+    d.add(stats.relaxIterations);
+    d.add(stats.peakMemory);
+    d.add(stats.quarantinedFunctions);
+    d.add(stats.quarantined.size());
+    for (const auto &name : stats.quarantined)
+        d.add(name);
+    d.add(stats.addrMapsRejected);
+    d.add(stats.rejectedAddrMapObjects.size());
+    for (const auto &name : stats.rejectedAddrMapObjects)
+        d.add(name);
+    return d.value();
+}
+
+/** Digests of the five link shapes of one app. */
+struct GoldenLinks
+{
+    uint64_t phase2 = 0;    ///< Phase 2, .bb_addr_map kept.
+    uint64_t stripped = 0;  ///< Phase 2 objects, maps stripped.
+    uint64_t phase4 = 0;    ///< Phase 4 objects in ld_prof order.
+    uint64_t boltInput = 0; ///< --emit-relocs, maps stripped.
+    uint64_t hugePages = 0; ///< 2 MiB text, cold objects' maps dropped.
+};
+
+GoldenLinks
+goldenLinks(const workload::WorkloadConfig &cfg, bool debug_info)
+{
+    buildsys::Workflow wf(cfg);
+    codegen::Options copts;
+    copts.emitAddrMapSection = true;
+    copts.emitDebugInfo = debug_info;
+    auto phase2 = compiled(wf.program(), copts);
+
+    Options base;
+    base.outputName = cfg.name;
+    base.entrySymbol = wf.program().entryFunction;
+
+    auto digest = [](const std::vector<elf::ObjectFile> &objects,
+                     const Options &opts) {
+        LinkStats stats;
+        auto exe = linkChecked(objects, opts, &stats);
+        EXPECT_TRUE(exe.ok()) << exe.status().toString();
+        return exe.ok() ? linkDigest(exe.value(), stats) : 0;
+    };
+
+    GoldenLinks out;
+    out.phase2 = digest(phase2, base);
+
+    // The digests only pin what the links produce: make sure the Phase 2
+    // image carries every kind of metadata the digest covers.
+    Executable pm = link(phase2, base);
+    EXPECT_FALSE(pm.frames.empty());
+    EXPECT_FALSE(pm.integrityChecks.empty());
+    bool has_succs = false, has_hash = false;
+    for (const auto &map : pm.bbAddrMap) {
+        for (const auto &block : map.blocks) {
+            has_succs |= !block.succs.empty();
+            has_hash |= block.hash != 0;
+        }
+    }
+    EXPECT_TRUE(has_succs && has_hash);
+
+    Options stripped = base;
+    stripped.stripAddrMaps = true;
+    out.stripped = digest(phase2, stripped);
+
+    Options po = base;
+    po.symbolOrder = wf.wpa().ldProf.symbolOrder;
+    out.phase4 = digest(wf.phase4Objects(), po);
+
+    Options bm = stripped;
+    bm.emitRelocs = true;
+    out.boltInput = digest(phase2, bm);
+
+    std::set<std::string> cold(wf.coldObjects().begin(),
+                               wf.coldObjects().end());
+    Options huge = base;
+    huge.hugePagesText = true;
+    huge.dropAddrMapsOf = &cold;
+    out.hugePages = digest(phase2, huge);
+    return out;
+}
+
+void
+expectGolden(const GoldenLinks &got, const GoldenLinks &want)
+{
+    EXPECT_EQ(got.phase2, want.phase2)
+        << "phase2 0x" << hashDigest(got.phase2);
+    EXPECT_EQ(got.stripped, want.stripped)
+        << "stripped 0x" << hashDigest(got.stripped);
+    EXPECT_EQ(got.phase4, want.phase4)
+        << "phase4 0x" << hashDigest(got.phase4);
+    EXPECT_EQ(got.boltInput, want.boltInput)
+        << "boltInput 0x" << hashDigest(got.boltInput);
+    EXPECT_EQ(got.hugePages, want.hugePages)
+        << "hugePages 0x" << hashDigest(got.hugePages);
+}
+
+TEST(LinkGolden, SmallAppWithIntegrityChecks)
+{
+    workload::WorkloadConfig cfg = test::smallConfig(47);
+    cfg.integrityCheckedFunctions = 2;
+    GoldenLinks want;
+    want.phase2 = 0x21f2ecb29503aa26ull;
+    want.stripped = 0x696baa639c93e13eull;
+    want.phase4 = 0x43dc96bbd7bc831aull;
+    want.boltInput = 0x9fb42654023410b1ull;
+    want.hugePages = 0xd0083e7b22cbeb68ull;
+    expectGolden(goldenLinks(cfg, false), want);
+}
+
+TEST(LinkGolden, HandAsmAppWithDebugInfo)
+{
+    workload::WorkloadConfig cfg = test::smallConfig(73);
+    cfg.integrityCheckedFunctions = 1;
+    cfg.handAsmFunctions = 3;
+    GoldenLinks want;
+    want.phase2 = 0x97da84c59d4dbe29ull;
+    want.stripped = 0xe91f1e4980c6c195ull;
+    want.phase4 = 0x632fb3c27d97c2daull;
+    want.boltInput = 0x765c47851f629fc2ull;
+    want.hugePages = 0x738c1476ff19e35eull;
+    expectGolden(goldenLinks(cfg, true), want);
 }
 
 } // namespace

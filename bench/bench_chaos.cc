@@ -38,6 +38,7 @@
  * Usage: bench_chaos [output.json]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -245,7 +246,10 @@ main(int argc, char **argv)
 
     std::vector<uint8_t> good;
     torn_gate = torn_gate && buildsys::readFile(cpath, good);
-    const std::vector<uint8_t> next = buildsys::encodeJournal(2, good);
+    std::vector<uint8_t> next(buildsys::kJournalHeaderBytes + good.size());
+    std::copy(good.begin(), good.end(),
+              next.begin() + buildsys::kJournalHeaderBytes);
+    buildsys::encodeJournal(2, next);
     uint32_t crash_points = 0;
     if (torn_gate) {
         // Crash the overwrite at every boundary class: mid-header,

@@ -19,9 +19,10 @@
  * Workflow's action fingerprinting).  Values are serialized
  * elf::ObjectFile byte images.
  *
- * Integrity: every entry stores a content hash of its bytes, computed at
- * put() time.  lookup() re-hashes the stored bytes and treats a mismatch
- * as storage corruption: the entry is evicted, CacheStats::corruptions
+ * Integrity: every entry stores a checksum of its bytes (XXH64, see
+ * support/hash.h; keys stay FNV-1a), computed at put() time.  lookup()
+ * re-hashes the stored bytes and treats a mismatch as storage
+ * corruption: the entry is evicted, CacheStats::corruptions
  * is bumped, and the lookup reports a miss so the caller re-executes the
  * action.  A cache must never serve bytes it cannot vouch for — a stale
  * or bit-flipped artifact silently linked into the binary is the worst
@@ -40,7 +41,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -173,8 +176,7 @@ class ArtifactCache
             layoutAlias_.erase(alias);
             return nullptr;
         }
-        if (fnv1a(it->second.bytes.data(), it->second.bytes.size()) !=
-            it->second.hash) {
+        if (checksum(it->second.bytes) != it->second.hash) {
             eraseEntry(layoutEntries_, layoutStats_, it);
             ++layoutStats_.corruptions;
             return nullptr;
@@ -300,40 +302,47 @@ class ArtifactCache
 
     /**
      * Byte image of both tiers for cross-process warm reruns: magic
-     * "PAC2", per-tier entry counts, entries in sorted key order (each
+     * "PAC3", per-tier entry counts, entries in sorted key order (each
      * carrying its digest alias key, so the primed index survives the
-     * round trip), and a trailing FNV-1a checksum over everything
+     * round trip), and a trailing XXH64 checksum over everything
      * before it, so a damaged file is rejected as a whole rather than
      * silently half-loaded (individual entries additionally carry their
-     * own content hashes, which lookup/scrub keep verifying after
-     * load).  Pre-digest "PAC1" images are rejected — a cold rebuild,
-     * not a correctness hazard.
+     * own checksums, which lookup/scrub keep verifying after load).
+     * Older images ("PAC1" without digests, "PAC2" with FNV-1a
+     * checksums) are rejected — a cold rebuild, not a correctness
+     * hazard.
+     *
+     * The image starts after @p headroom zero bytes and the buffer is
+     * sized up front with @p tailroom bytes of spare capacity, so a
+     * caller can frame it (see encodeJournal) without copying it.
      */
     std::vector<uint8_t>
-    serialize() const
+    serialize(size_t headroom = 0, size_t tailroom = 0) const
     {
         std::lock_guard<std::mutex> lock(mu_);
         std::vector<uint8_t> out;
-        out.push_back('P');
-        out.push_back('A');
-        out.push_back('C');
-        out.push_back('2');
+        out.reserve(headroom + kImageHeaderBytes + tierImageBytes(entries_) +
+                    tierImageBytes(layoutEntries_) + 8 + tailroom);
+        out.resize(headroom);
+        for (char c : kImageMagic)
+            out.push_back(static_cast<uint8_t>(c));
         putU64(out, entries_.size());
         putU64(out, layoutEntries_.size());
         tierSerialize(entries_, out);
         tierSerialize(layoutEntries_, out);
-        putU64(out, fnv1a(out.data(), out.size()));
+        putU64(out, xxh64(out.data() + headroom, out.size() - headroom));
         return out;
     }
 
     /**
-     * Replace this cache's contents with a serialized image.  Returns
-     * false (leaving the cache empty) on any structural damage or
-     * checksum mismatch.  Statistics count the loaded entries but keep
-     * zero hit/miss history.
+     * Replace this cache's contents with a serialized image, copying
+     * each entry's bytes out of @p data once.  Returns false (leaving
+     * the cache empty) on any structural damage or checksum mismatch.
+     * Statistics count the loaded entries but keep zero hit/miss
+     * history.
      */
     bool
-    deserialize(const std::vector<uint8_t> &data)
+    deserialize(std::span<const uint8_t> data)
     {
         std::lock_guard<std::mutex> lock(mu_);
         entries_.clear();
@@ -341,16 +350,16 @@ class ArtifactCache
         layoutAlias_.clear();
         stats_ = CacheStats{};
         layoutStats_ = CacheStats{};
-        if (data.size() < 4 + 8 * 3 || data[0] != 'P' ||
-            data[1] != 'A' || data[2] != 'C' || data[3] != '2')
+        if (data.size() < kImageHeaderBytes + 8 ||
+            std::memcmp(data.data(), kImageMagic, sizeof kImageMagic) != 0)
             return false;
-        uint64_t checksum = 0;
         size_t tail = data.size() - 8;
-        for (int i = 0; i < 8; ++i)
-            checksum |= static_cast<uint64_t>(data[tail + i]) << (8 * i);
-        if (fnv1a(data.data(), tail) != checksum)
+        size_t pos = tail;
+        uint64_t footer = 0;
+        if (!getU64(data, data.size(), pos, footer) ||
+            xxh64(data.data(), tail) != footer)
             return false;
-        size_t pos = 4;
+        pos = sizeof kImageMagic;
         uint64_t nObjects = 0;
         uint64_t nLayouts = 0;
         if (!getU64(data, tail, pos, nObjects) ||
@@ -374,13 +383,24 @@ class ArtifactCache
     }
 
   private:
+    /** Image magic, then the two per-tier entry counts. */
+    static constexpr char kImageMagic[4] = {'P', 'A', 'C', '3'};
+    static constexpr size_t kImageHeaderBytes = sizeof kImageMagic + 8 * 2;
+
     struct Entry
     {
         std::vector<uint8_t> bytes;
-        uint64_t hash = 0;   ///< fnv1a(bytes) at store time.
+        uint64_t hash = 0;   ///< checksum(bytes) at store time.
         uint64_t digest = 0; ///< Layout-input digest alias key (0 = none).
     };
     using EntryMap = std::unordered_map<uint64_t, Entry>;
+
+    /** The entry checksum: storage-only, so XXH64 rather than FNV-1a. */
+    static uint64_t
+    checksum(const std::vector<uint8_t> &bytes)
+    {
+        return xxh64(bytes.data(), bytes.size());
+    }
 
     static const std::vector<uint8_t> *
     tierLookup(EntryMap &map, CacheStats &stats, uint64_t key)
@@ -390,8 +410,7 @@ class ArtifactCache
             ++stats.misses;
             return nullptr;
         }
-        if (fnv1a(it->second.bytes.data(), it->second.bytes.size()) !=
-            it->second.hash) {
+        if (checksum(it->second.bytes) != it->second.hash) {
             eraseEntry(map, stats, it);
             ++stats.corruptions;
             ++stats.misses;
@@ -405,7 +424,7 @@ class ArtifactCache
     tierPut(EntryMap &map, CacheStats &stats, uint64_t key,
             std::vector<uint8_t> bytes, uint64_t digest = 0)
     {
-        uint64_t hash = fnv1a(bytes.data(), bytes.size());
+        uint64_t hash = checksum(bytes);
         auto it = map.find(key);
         if (it != map.end()) {
             stats.storedBytes -= it->second.bytes.size();
@@ -425,8 +444,7 @@ class ArtifactCache
     {
         uint64_t evicted = 0;
         for (auto it = map.begin(); it != map.end();) {
-            if (fnv1a(it->second.bytes.data(),
-                      it->second.bytes.size()) != it->second.hash) {
+            if (checksum(it->second.bytes) != it->second.hash) {
                 it = eraseEntry(map, stats, it);
                 ++stats.corruptions;
                 ++evicted;
@@ -450,8 +468,7 @@ class ArtifactCache
         stats.storedBytes += it->second.bytes.size();
         stats.storedBytes -= before;
         if (rehash)
-            it->second.hash =
-                fnv1a(it->second.bytes.data(), it->second.bytes.size());
+            it->second.hash = checksum(it->second.bytes);
         return true;
     }
 
@@ -474,7 +491,7 @@ class ArtifactCache
     }
 
     static bool
-    getU64(const std::vector<uint8_t> &in, size_t limit, size_t &pos,
+    getU64(std::span<const uint8_t> in, size_t limit, size_t &pos,
            uint64_t &v)
     {
         if (pos + 8 > limit)
@@ -484,6 +501,16 @@ class ArtifactCache
             v |= static_cast<uint64_t>(in[pos + i]) << (8 * i);
         pos += 8;
         return true;
+    }
+
+    /** Image bytes of one tier: a 32-byte record header per entry. */
+    static size_t
+    tierImageBytes(const EntryMap &map)
+    {
+        size_t n = 0;
+        for (const auto &[key, entry] : map)
+            n += 8 * 4 + entry.bytes.size();
+        return n;
     }
 
     static void
@@ -501,7 +528,7 @@ class ArtifactCache
     }
 
     static bool
-    tierDeserialize(const std::vector<uint8_t> &data, size_t limit,
+    tierDeserialize(std::span<const uint8_t> data, size_t limit,
                     size_t &pos, uint64_t count, EntryMap &map,
                     CacheStats &stats)
     {
@@ -516,16 +543,15 @@ class ArtifactCache
                 !getU64(data, limit, pos, size) ||
                 size > limit - pos)
                 return false;
-            Entry entry;
-            entry.bytes.assign(data.begin() + static_cast<long>(pos),
-                               data.begin() +
-                                   static_cast<long>(pos + size));
-            entry.hash = hash;
-            entry.digest = digest;
+            const uint8_t *bytes = data.data() + pos;
             pos += size;
-            stats.storedBytes += entry.bytes.size();
+            // Keys are written once each; a repeated key is damage.
+            auto inserted =
+                map.emplace(key, Entry{{bytes, bytes + size}, hash, digest});
+            if (!inserted.second)
+                return false;
+            stats.storedBytes += size;
             ++stats.entries;
-            map.emplace(key, std::move(entry));
         }
         return true;
     }

@@ -1,71 +1,71 @@
 #include "build/journal.h"
 
-#include <cstdio>
+#include <sys/stat.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+
+#include "support/check.h"
 #include "support/hash.h"
 
 namespace propeller::buildsys {
 
 namespace {
 
-constexpr char kMagic[4] = {'P', 'F', 'J', '1'};
+constexpr char kMagic[4] = {'P', 'F', 'J', '2'};
 
 void
-putU64(std::vector<uint8_t> &out, uint64_t v)
+putU64(uint8_t *out, uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+        out[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
 uint64_t
-getU64(const std::vector<uint8_t> &in, size_t pos)
+getU64(const uint8_t *in)
 {
     uint64_t v = 0;
     for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(in[pos + i]) << (8 * i);
+        v |= static_cast<uint64_t>(in[i]) << (8 * i);
     return v;
 }
 
 } // namespace
 
-std::vector<uint8_t>
-encodeJournal(uint64_t generation, const std::vector<uint8_t> &payload)
+void
+encodeJournal(uint64_t generation, std::vector<uint8_t> &buf)
 {
-    std::vector<uint8_t> out;
-    out.reserve(kJournalHeaderBytes + payload.size() +
-                kJournalFooterBytes);
-    out.insert(out.end(), kMagic, kMagic + 4);
-    putU64(out, generation);
-    putU64(out, payload.size());
-    out.insert(out.end(), payload.begin(), payload.end());
-    putU64(out, fnv1a(out.data(), out.size()));
-    return out;
+    PROPELLER_CHECK(buf.size() >= kJournalHeaderBytes,
+                    "journal buffer lacks its reserved header");
+    std::memcpy(buf.data(), kMagic, sizeof kMagic);
+    putU64(buf.data() + 4, generation);
+    putU64(buf.data() + 12, buf.size() - kJournalHeaderBytes);
+    uint8_t footer[kJournalFooterBytes];
+    putU64(footer, xxh64(buf.data(), buf.size()));
+    buf.insert(buf.end(), footer, footer + kJournalFooterBytes);
 }
 
 bool
-decodeJournal(const std::vector<uint8_t> &file, uint64_t *generation,
-              std::vector<uint8_t> *payload)
+decodeJournal(std::span<const uint8_t> file, uint64_t *generation,
+              std::span<const uint8_t> *payload)
 {
-    if (file.size() < kJournalHeaderBytes + kJournalFooterBytes)
+    if (file.size() < kJournalHeaderBytes + kJournalFooterBytes ||
+        std::memcmp(file.data(), kMagic, sizeof kMagic) != 0)
         return false;
-    for (int i = 0; i < 4; ++i)
-        if (file[i] != static_cast<uint8_t>(kMagic[i]))
-            return false;
-    uint64_t gen = getU64(file, 4);
-    uint64_t size = getU64(file, 12);
+    uint64_t gen = getU64(file.data() + 4);
+    uint64_t size = getU64(file.data() + 12);
     // The declared length must tile the file exactly: anything shorter
     // is a torn write, anything longer is trailing garbage.
     if (size != file.size() - kJournalHeaderBytes - kJournalFooterBytes)
         return false;
     size_t tail = file.size() - kJournalFooterBytes;
-    if (fnv1a(file.data(), tail) != getU64(file, tail))
+    if (xxh64(file.data(), tail) != getU64(file.data() + tail))
         return false;
     if (generation)
         *generation = gen;
     if (payload)
-        payload->assign(file.begin() +
-                            static_cast<long>(kJournalHeaderBytes),
-                        file.begin() + static_cast<long>(tail));
+        *payload = file.subspan(kJournalHeaderBytes, size);
     return true;
 }
 
@@ -97,13 +97,16 @@ readFile(const std::string &path, std::vector<uint8_t> &out)
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         return false;
-    out.clear();
-    uint8_t buf[1 << 16];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        out.insert(out.end(), buf, buf + n);
+    // Size the buffer from the open file, then read it in one call.
+    struct stat st;
+    bool ok = fstat(fileno(f), &st) == 0 && S_ISREG(st.st_mode);
+    if (ok) {
+        out.resize(static_cast<size_t>(st.st_size));
+        ok = out.empty() ||
+             std::fread(out.data(), 1, out.size(), f) == out.size();
+    }
     std::fclose(f);
-    return true;
+    return ok;
 }
 
 } // namespace propeller::buildsys

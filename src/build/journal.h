@@ -10,13 +10,14 @@
  * and service restarts; a crash during that save must never leave an
  * image a later cold start trips over.  Two mechanisms compose:
  *
- *  1. A *journal container* wrapping the payload: fixed magic, a
- *     generation stamp (which relink generation wrote this image), the
- *     payload length, and a trailing FNV-1a checksum over everything
+ *  1. A *journal container* wrapping the payload: fixed magic ("PFJ2"),
+ *     a generation stamp (which relink generation wrote this image),
+ *     the payload length, and a trailing XXH64 checksum over everything
  *     before it.  Any torn or bit-damaged file — truncated inside the
  *     header, the payload or the footer, or mutated anywhere — fails
  *     decodeJournal() and reads as "no image": the caller cold-starts
- *     instead of aborting or half-loading.
+ *     instead of aborting or half-loading.  A "PFJ1" container (FNV-1a
+ *     footer) reads as "no image" too.
  *
  *  2. An *atomic write*: the image is written to `<path>.tmp` in full
  *     and rename(2)d over the destination, so the destination always
@@ -24,12 +25,19 @@
  *     image, never a prefix of the new one.  A crash between write and
  *     rename leaves only a stale `.tmp` the next save overwrites.
  *
+ * The container is framed and checked in place: the writer serializes
+ * its payload after kJournalHeaderBytes of reserved space and
+ * encodeJournal() fills the header and appends the footer, and
+ * decodeJournal() hands back a view of the payload inside the file
+ * buffer, so a multi-megabyte image is never copied to be framed.
+ *
  * atomicWriteFile() exposes a crash seam (`crashAtByte`) so the
  * crash-point sweep tests can kill the save at every byte boundary
  * class and prove both properties without process-level fault tools.
  */
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,18 +48,25 @@ namespace propeller::buildsys {
 constexpr size_t kJournalHeaderBytes = 4 + 8 + 8;
 constexpr size_t kJournalFooterBytes = 8;
 
-/** Wrap @p payload in a journal container stamped @p generation. */
-std::vector<uint8_t> encodeJournal(uint64_t generation,
-                                   const std::vector<uint8_t> &payload);
+/**
+ * Frame @p buf as a journal container stamped @p generation, in place.
+ * On entry @p buf holds kJournalHeaderBytes of reserved space followed
+ * by the payload; the header is written over the reserved bytes and
+ * the footer appended (reserve kJournalFooterBytes of spare capacity
+ * to keep that append from reallocating).
+ */
+void encodeJournal(uint64_t generation, std::vector<uint8_t> &buf);
 
 /**
  * Decode a journal container.  Returns false — without touching the
  * outputs — on any structural damage: short file, wrong magic, length
  * mismatch (a torn write), or footer checksum mismatch (bit damage).
- * @p generation and @p payload may be nullptr when not wanted.
+ * On success @p payload views the payload inside @p file (valid while
+ * @p file is).  @p generation and @p payload may be nullptr when not
+ * wanted.
  */
-bool decodeJournal(const std::vector<uint8_t> &file, uint64_t *generation,
-                   std::vector<uint8_t> *payload);
+bool decodeJournal(std::span<const uint8_t> file, uint64_t *generation,
+                   std::span<const uint8_t> *payload);
 
 /**
  * Write @p bytes to @p path atomically: the full image goes to
@@ -68,7 +83,8 @@ bool atomicWriteFile(const std::string &path,
                      const std::vector<uint8_t> &bytes,
                      long crashAtByte = -1);
 
-/** Read @p path fully; returns false if it cannot be opened. */
+/** Read @p path fully in one sized read; returns false if it cannot be
+ *  opened or read. */
 bool readFile(const std::string &path, std::vector<uint8_t> &out);
 
 } // namespace propeller::buildsys

@@ -527,8 +527,9 @@ Workflow::loadCacheFile(const std::string &path, uint64_t *generation)
     if (!readFile(path, file))
         return false;
     // A torn or bit-damaged journal is "no image": the run proceeds
-    // cold instead of aborting or half-loading.
-    std::vector<uint8_t> payload;
+    // cold instead of aborting or half-loading.  Both footers are
+    // checked in place; deserialize copies each entry out once.
+    std::span<const uint8_t> payload;
     uint64_t gen = 0;
     if (!decodeJournal(file, &gen, &payload))
         return false;
@@ -543,9 +544,12 @@ bool
 Workflow::saveCacheFile(const std::string &path, uint64_t generation,
                         long crashAtByte) const
 {
-    return atomicWriteFile(path,
-                           encodeJournal(generation, cache_.serialize()),
-                           crashAtByte);
+    // One buffer: the image lands after the journal header's reserved
+    // bytes, with capacity for the footer, and is written in one go.
+    std::vector<uint8_t> image =
+        cache_.serialize(kJournalHeaderBytes, kJournalFooterBytes);
+    encodeJournal(generation, image);
+    return atomicWriteFile(path, image, crashAtByte);
 }
 
 const profile::Profile &

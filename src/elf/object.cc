@@ -4,29 +4,45 @@
 
 namespace propeller::elf {
 
+namespace {
+
+/** A text section's byte size and branch-site count. */
+struct TextExtent
+{
+    uint64_t bytes = 0;
+    uint32_t sites = 0;
+};
+
+/** Measure a text section in one walk over its pieces. */
+TextExtent
+textExtent(const Section &sec)
+{
+    TextExtent e;
+    e.bytes = sec.bytes.size();
+    for (const auto &piece : sec.pieces) {
+        e.bytes += piece.bytes.size();
+        if (piece.site) {
+            e.bytes += isa::Instruction::sizeOf(piece.site->op);
+            ++e.sites;
+        }
+    }
+    return e;
+}
+
+} // namespace
+
 uint64_t
 Section::size() const
 {
     if (type != SectionType::Text)
         return bytes.size();
-    uint64_t n = bytes.size();
-    for (const auto &piece : pieces) {
-        n += piece.bytes.size();
-        if (piece.site)
-            n += isa::Instruction::sizeOf(piece.site->op);
-    }
-    return n;
+    return textExtent(*this).bytes;
 }
 
 uint32_t
 Section::relocationCount() const
 {
-    uint32_t n = 0;
-    for (const auto &piece : pieces) {
-        if (piece.site)
-            ++n;
-    }
-    return n;
+    return textExtent(*this).sites;
 }
 
 int
@@ -57,10 +73,12 @@ ObjectFile::sizeBreakdown() const
     SizeBreakdown b;
     for (const auto &sec : sections) {
         switch (sec.type) {
-          case SectionType::Text:
-            b.text += sec.size();
-            b.relocs += sec.relocationCount() * kRelaEntrySize;
+          case SectionType::Text: {
+            const TextExtent e = textExtent(sec);
+            b.text += e.bytes;
+            b.relocs += e.sites * kRelaEntrySize;
             break;
+          }
           case SectionType::EhFrame:
             b.ehFrame += sec.size();
             break;

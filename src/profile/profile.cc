@@ -54,8 +54,8 @@ Profile::sizeInBytes() const
 std::vector<uint8_t>
 Profile::serialize() const
 {
-    std::vector<uint8_t> out;
-    out.insert(out.end(), std::begin(kProfileMagic), std::end(kProfileMagic));
+    std::vector<uint8_t> out(std::begin(kProfileMagic),
+                             std::end(kProfileMagic));
     encodeUleb128(binaryHash, out);
     encodeUleb128(totalRetired, out);
     encodeUleb128(samples.size(), out);

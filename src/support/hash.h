@@ -3,16 +3,27 @@
 
 /**
  * @file
- * Content hashing for the distributed build cache.
+ * Content hashing: keys and fingerprints, and storage checksums.
  *
  * The build system substrate (src/build) keys artifacts by content hash,
  * mirroring the content-addressed caching the paper's distributed build
  * system relies on.  FNV-1a/64 is sufficient for our artifact counts and is
- * fully deterministic.
+ * fully deterministic; it stays wherever its value is a key, a fingerprint
+ * or an identity, or sits in a shipped or wire format (action and layout
+ * keys, identityHash, the integrity-check table, the .bb_addr_map and
+ * profile shard checksums), so those values never move.
+ *
+ * FNV-1a is byte-serial, though.  The checksums that guard the build
+ * system's own storage, which only this program writes and reads back
+ * (ArtifactCache entry hashes, the cache image footer and the journal
+ * footer), use XXH64 instead: it consumes 32 bytes per step on four
+ * independent lanes, many times faster on megabyte images.
  */
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,6 +65,57 @@ inline uint64_t
 hashCombine(uint64_t h, uint64_t v)
 {
     return fnv1a(&v, sizeof(v), h);
+}
+
+/**
+ * XXH64 (seed 0) over a byte range, per the public xxHash
+ * specification: 32-byte stripes on four accumulator lanes, then the
+ * 8/4/1-byte tail and the final avalanche.  Words are read
+ * little-endian on any host, so a checksum is host-independent.
+ */
+inline uint64_t
+xxh64(const void *data, size_t len)
+{
+    constexpr uint64_t p1 = 0x9e3779b185ebca87ull;
+    constexpr uint64_t p2 = 0xc2b2ae3d27d4eb4full;
+    constexpr uint64_t p3 = 0x165667b19e3779f9ull;
+    constexpr uint64_t p4 = 0x85ebca77c2b2ae63ull;
+    constexpr uint64_t p5 = 0x27d4eb2f165667c5ull;
+    auto read = [](const uint8_t *p, size_t bytes) {
+        uint64_t v = 0;
+        std::memcpy(&v, p, bytes);
+        if constexpr (std::endian::native == std::endian::big)
+            v = __builtin_bswap64(v);
+        return v;
+    };
+    auto round = [](uint64_t acc, uint64_t lane) {
+        return std::rotl(acc + lane * p2, 31) * p1;
+    };
+    const auto *p = static_cast<const uint8_t *>(data);
+    const uint8_t *end = p + len;
+    uint64_t h = p5;
+    if (len >= 32) {
+        uint64_t v[4] = {p1 + p2, p2, 0, 0 - p1};
+        for (; end - p >= 32; p += 32)
+            for (int i = 0; i < 4; ++i)
+                v[i] = round(v[i], read(p + 8 * i, 8));
+        h = std::rotl(v[0], 1) + std::rotl(v[1], 7) +
+            std::rotl(v[2], 12) + std::rotl(v[3], 18);
+        for (uint64_t lane : v)
+            h = (h ^ round(0, lane)) * p1 + p4;
+    }
+    h += len;
+    for (; end - p >= 8; p += 8)
+        h = std::rotl(h ^ round(0, read(p, 8)), 27) * p1 + p4;
+    if (end - p >= 4) {
+        h = std::rotl(h ^ read(p, 4) * p1, 23) * p2 + p3;
+        p += 4;
+    }
+    for (; p < end; ++p)
+        h = std::rotl(h ^ *p * p5, 11) * p1;
+    h = (h ^ (h >> 33)) * p2;
+    h = (h ^ (h >> 29)) * p3;
+    return h ^ (h >> 32);
 }
 
 /** Render a hash as a fixed-width hex digest for cache keys. */

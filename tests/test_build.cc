@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "build/cache.h"
 #include "build/journal.h"
 #include "build/workflow.h"
+#include "support/hash.h"
 #include "test_util.h"
 
 namespace propeller::buildsys {
@@ -89,6 +91,29 @@ TEST(ArtifactCache, SerializeRoundTripsBothTiers)
     EXPECT_EQ(copy.serialize(), image);
 }
 
+TEST(ArtifactCache, SerializeLeavesRoomForJournalFraming)
+{
+    ArtifactCache cache;
+    cache.put(1, {10, 11});
+    cache.putLayout(2, {20}, /*digest=*/9);
+
+    // The image lands after the journal header's reserved bytes in a
+    // buffer sized for the footer too: sealing it in place never
+    // reallocates, and the sealed journal's payload is the plain image.
+    std::vector<uint8_t> framed =
+        cache.serialize(kJournalHeaderBytes, kJournalFooterBytes);
+    const uint8_t *buffer = framed.data();
+    encodeJournal(4, framed);
+    EXPECT_EQ(framed.data(), buffer);
+
+    uint64_t gen = 0;
+    std::span<const uint8_t> payload;
+    ASSERT_TRUE(decodeJournal(framed, &gen, &payload));
+    EXPECT_EQ(gen, 4u);
+    const std::vector<uint8_t> image = cache.serialize();
+    EXPECT_EQ(std::vector<uint8_t>(payload.begin(), payload.end()), image);
+}
+
 TEST(ArtifactCache, DeserializeRejectsDamagedImages)
 {
     ArtifactCache cache;
@@ -112,6 +137,30 @@ TEST(ArtifactCache, DeserializeRejectsDamagedImages)
         EXPECT_EQ(copy.lookup(42), nullptr) << "damage " << damage;
         EXPECT_EQ(copy.keys().size(), 0u) << "damage " << damage;
     }
+}
+
+TEST(ArtifactCache, DeserializeRejectsRepeatedKey)
+{
+    ArtifactCache cache;
+    cache.put(1, {10, 11});
+    cache.put(2, {12});
+    std::vector<uint8_t> image = cache.serialize();
+
+    // Rewrite the second entry's key to the first's and re-seal the
+    // footer: the checksum passes, so only the structural check that
+    // each key appears once can refuse the image.
+    const size_t secondKey = 4 + 8 * 2 + 8 * 4 + 2;
+    ASSERT_EQ(image[secondKey], 2);
+    image[secondKey] = 1;
+    const size_t tail = image.size() - 8;
+    const uint64_t footer = xxh64(image.data(), tail);
+    for (int i = 0; i < 8; ++i)
+        image[tail + i] = static_cast<uint8_t>(footer >> (8 * i));
+
+    ArtifactCache copy;
+    EXPECT_FALSE(copy.deserialize(image));
+    EXPECT_EQ(copy.stats().entries, 0u);
+    EXPECT_EQ(copy.stats().storedBytes, 0u);
 }
 
 TEST(ArtifactCache, CorruptLayoutIsEvictedNotServed)
@@ -243,22 +292,31 @@ TEST(WorkflowBinaries, PropellerBinaryNearBaselineSize)
 // ---------------------------------------------------------------------
 // Crash-safe journal persistence (the fleet cache image's container)
 
+/** A decoded payload view as bytes. */
+std::vector<uint8_t>
+bytesOf(std::span<const uint8_t> view)
+{
+    return {view.begin(), view.end()};
+}
+
 TEST(Journal, EncodeDecodeRoundTripsGenerationAndPayload)
 {
     const std::vector<uint8_t> payload = {0xde, 0xad, 0xbe, 0xef, 0x00,
                                           0x01, 0x7f};
-    std::vector<uint8_t> image = encodeJournal(41, payload);
+    std::vector<uint8_t> image = test::journaled(41, payload);
     EXPECT_EQ(image.size(), kJournalHeaderBytes + payload.size() +
                                 kJournalFooterBytes);
 
     uint64_t gen = 0;
-    std::vector<uint8_t> out;
+    std::span<const uint8_t> out;
     ASSERT_TRUE(decodeJournal(image, &gen, &out));
     EXPECT_EQ(gen, 41u);
-    EXPECT_EQ(out, payload);
+    EXPECT_EQ(bytesOf(out), payload);
+    // The payload is a view into the file buffer, not a copy.
+    EXPECT_EQ(out.data(), image.data() + kJournalHeaderBytes);
 
     // An empty payload is a valid (if pointless) image.
-    image = encodeJournal(7, {});
+    image = test::journaled(7, {});
     ASSERT_TRUE(decodeJournal(image, &gen, &out));
     EXPECT_EQ(gen, 7u);
     EXPECT_TRUE(out.empty());
@@ -269,16 +327,18 @@ TEST(Journal, DecodeRejectsEveryTruncationPoint)
     std::vector<uint8_t> payload(64);
     for (size_t i = 0; i < payload.size(); ++i)
         payload[i] = static_cast<uint8_t>(i * 37 + 1);
-    const std::vector<uint8_t> image = encodeJournal(3, payload);
+    const std::vector<uint8_t> image = test::journaled(3, payload);
 
     // Every proper prefix — torn inside the header, the payload, or the
     // footer — must read as "no image", never as a short payload.
+    const uint8_t sentinel[1] = {0xaa};
     for (size_t len = 0; len < image.size(); ++len) {
         std::vector<uint8_t> torn(image.begin(), image.begin() + len);
         uint64_t gen = 99;
-        std::vector<uint8_t> out = {0xaa};
+        std::span<const uint8_t> out(sentinel);
         EXPECT_FALSE(decodeJournal(torn, &gen, &out)) << "len " << len;
         EXPECT_EQ(gen, 99u) << "outputs touched at len " << len;
+        EXPECT_EQ(out.data(), sentinel) << "outputs touched at len " << len;
         EXPECT_EQ(out.size(), 1u) << "outputs touched at len " << len;
     }
 }
@@ -286,7 +346,7 @@ TEST(Journal, DecodeRejectsEveryTruncationPoint)
 TEST(Journal, DecodeRejectsBitDamageInEveryRegion)
 {
     std::vector<uint8_t> payload(32, 0x5a);
-    const std::vector<uint8_t> image = encodeJournal(12, payload);
+    const std::vector<uint8_t> image = test::journaled(12, payload);
 
     // One representative byte per region: magic, generation, length,
     // payload, footer checksum.
@@ -308,8 +368,8 @@ TEST(Journal, AtomicWriteCrashSweepNeverCorruptsExistingImage)
 
     std::vector<uint8_t> oldPayload(48, 0x11);
     std::vector<uint8_t> newPayload(96, 0x22);
-    const std::vector<uint8_t> oldImage = encodeJournal(1, oldPayload);
-    const std::vector<uint8_t> newImage = encodeJournal(2, newPayload);
+    const std::vector<uint8_t> oldImage = test::journaled(1, oldPayload);
+    const std::vector<uint8_t> newImage = test::journaled(2, newPayload);
     ASSERT_TRUE(atomicWriteFile(path, oldImage));
 
     // Kill the save at every byte boundary class of the new image:
@@ -331,11 +391,11 @@ TEST(Journal, AtomicWriteCrashSweepNeverCorruptsExistingImage)
         std::vector<uint8_t> file;
         ASSERT_TRUE(readFile(path, file)) << "crash at " << crash;
         uint64_t gen = 0;
-        std::vector<uint8_t> out;
+        std::span<const uint8_t> out;
         ASSERT_TRUE(decodeJournal(file, &gen, &out))
             << "crash at " << crash;
         EXPECT_EQ(gen, 1u) << "crash at " << crash;
-        EXPECT_EQ(out, oldPayload) << "crash at " << crash;
+        EXPECT_EQ(bytesOf(out), oldPayload) << "crash at " << crash;
     }
 
     // The next clean save goes through and replaces the image whole.
@@ -343,10 +403,10 @@ TEST(Journal, AtomicWriteCrashSweepNeverCorruptsExistingImage)
     std::vector<uint8_t> file;
     ASSERT_TRUE(readFile(path, file));
     uint64_t gen = 0;
-    std::vector<uint8_t> out;
+    std::span<const uint8_t> out;
     ASSERT_TRUE(decodeJournal(file, &gen, &out));
     EXPECT_EQ(gen, 2u);
-    EXPECT_EQ(out, newPayload);
+    EXPECT_EQ(bytesOf(out), newPayload);
 
     std::remove(path.c_str());
     std::remove(tmp.c_str());
@@ -400,6 +460,35 @@ TEST(WorkflowCache, TornImageColdStartsCleanly)
     EXPECT_EQ(gen2, 6u);
     std::remove(path);
     std::remove((std::string(path) + ".tmp").c_str());
+}
+
+TEST(WorkflowCache, PreviousFormatImageColdStarts)
+{
+    // A well-formed image in the previous format: a "PAC2" payload and a
+    // "PFJ1" container, both sealed with FNV-1a footers.  It must read
+    // as "no image", so the relink cold-starts.
+    auto putU64 = [](std::vector<uint8_t> &out, uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    };
+    std::vector<uint8_t> payload = {'P', 'A', 'C', '2'};
+    putU64(payload, 0);
+    putU64(payload, 0);
+    putU64(payload, fnv1a(payload));
+    EXPECT_FALSE(ArtifactCache().deserialize(payload));
+    std::vector<uint8_t> file = {'P', 'F', 'J', '1'};
+    putU64(file, 4);
+    putU64(file, payload.size());
+    file.insert(file.end(), payload.begin(), payload.end());
+    putU64(file, fnv1a(file));
+
+    const char *path = "test_wf_previous.cache";
+    ASSERT_TRUE(atomicWriteFile(path, file));
+    Workflow reader(test::smallConfig());
+    uint64_t gen = 99;
+    EXPECT_FALSE(reader.loadCacheFile(path, &gen));
+    EXPECT_EQ(gen, 99u);
+    std::remove(path);
 }
 
 TEST(WorkflowReports, BoltReportsPopulated)

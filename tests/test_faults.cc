@@ -11,10 +11,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "build/cache.h"
+#include "build/journal.h"
 #include "build/workflow.h"
 #include "codegen/codegen.h"
 #include "elf/bb_addr_map.h"
@@ -22,6 +24,7 @@
 #include "faultinject/faultinject.h"
 #include "linker/linker.h"
 #include "profile/profile.h"
+#include "support/hash.h"
 #include "support/rng.h"
 #include "test_util.h"
 
@@ -63,6 +66,66 @@ validProfile()
         p.samples.push_back(sample);
     }
     return p;
+}
+
+/**
+ * Scratch path for this test's cache files: ctest runs tests in
+ * parallel processes, so each test writes under its own name.
+ */
+std::string
+scratchPath(const char *what)
+{
+    return std::string("test_faults_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           what;
+}
+
+/** A real journaled cache image, as a small-config Workflow saves it. */
+std::vector<uint8_t>
+savedCacheFile()
+{
+    const std::string path = scratchPath(".saved.cache");
+    buildsys::Workflow wf(test::smallConfig());
+    wf.propellerBinary();
+    EXPECT_TRUE(wf.saveCacheFile(path, /*generation=*/3));
+    std::vector<uint8_t> file;
+    EXPECT_TRUE(buildsys::readFile(path, file));
+    std::remove(path.c_str());
+    return file;
+}
+
+/** The cache image inside a journal container. */
+std::vector<uint8_t>
+imageOf(const std::vector<uint8_t> &file)
+{
+    std::span<const uint8_t> payload;
+    EXPECT_TRUE(buildsys::decodeJournal(file, nullptr, &payload));
+    return {payload.begin(), payload.end()};
+}
+
+/** loadCacheFile over @p file: whether it loaded, and what it holds. */
+struct LoadOutcome
+{
+    bool loaded = false;
+    uint64_t generation = 0;
+    uint64_t entries = 0;
+    uint64_t storedBytes = 0;
+};
+
+LoadOutcome
+loadFile(const std::vector<uint8_t> &file)
+{
+    const std::string path = scratchPath(".mutant.cache");
+    EXPECT_TRUE(buildsys::atomicWriteFile(path, file));
+    buildsys::Workflow wf(test::smallConfig());
+    LoadOutcome out;
+    out.generation = 77;
+    out.loaded = wf.loadCacheFile(path, &out.generation);
+    out.entries = wf.cacheStats().entries + wf.layoutCacheStats().entries;
+    out.storedBytes =
+        wf.cacheStats().storedBytes + wf.layoutCacheStats().storedBytes;
+    std::remove(path.c_str());
+    return out;
 }
 
 size_t
@@ -113,6 +176,93 @@ TEST(FuzzRejection, ProfileMutationsNeverAcceptedSilently)
         auto decoded = profile::Profile::deserializeChecked(mutated);
         EXPECT_FALSE(decoded.ok())
             << "seed " << seed << ": corrupt profile accepted silently";
+    }
+}
+
+// The persisted cache image: the journal container (its footer covers
+// the whole file) and, inside it, the cache image (its own footer and
+// the per-entry framing).  The journal fuzz damages the file as stored,
+// with both decoders behind it; the image fuzz damages the image and
+// re-frames it in a valid journal, so only the image's checks stand
+// between a mutant and the cache.
+
+TEST(FuzzRejection, JournalMutationsNeverAcceptedSilently)
+{
+    const std::vector<uint8_t> file = savedCacheFile();
+    const LoadOutcome clean = loadFile(file);
+    ASSERT_TRUE(clean.loaded);
+    ASSERT_EQ(clean.generation, 3u);
+    ASSERT_GT(clean.entries, 0u);
+
+    for (uint64_t seed = 0; seed < 200; ++seed) {
+        Rng rng(mix64(0x10a7a1, seed));
+        std::vector<uint8_t> mutated = file;
+        mutateBytes(mutated, rng);
+        ASSERT_NE(mutated, file) << "seed " << seed;
+        const LoadOutcome out = loadFile(mutated);
+        EXPECT_FALSE(out.loaded)
+            << "seed " << seed << ": damaged journal accepted silently";
+        EXPECT_EQ(out.generation, 77u) << "seed " << seed;
+        EXPECT_EQ(out.entries, 0u) << "seed " << seed;
+        EXPECT_EQ(out.storedBytes, 0u) << "seed " << seed;
+    }
+}
+
+TEST(FuzzRejection, CacheImageMutationsNeverAcceptedSilently)
+{
+    const std::vector<uint8_t> image = imageOf(savedCacheFile());
+    ASSERT_TRUE(loadFile(test::journaled(3, image)).loaded);
+
+    for (uint64_t seed = 0; seed < 200; ++seed) {
+        Rng rng(mix64(0xcac4e1, seed));
+        std::vector<uint8_t> mutated = image;
+        mutateBytes(mutated, rng);
+        ASSERT_NE(mutated, image) << "seed " << seed;
+        const LoadOutcome out = loadFile(test::journaled(3, mutated));
+        EXPECT_FALSE(out.loaded)
+            << "seed " << seed << ": damaged image accepted silently";
+        EXPECT_EQ(out.entries, 0u) << "seed " << seed;
+        EXPECT_EQ(out.storedBytes, 0u) << "seed " << seed;
+    }
+
+    // Re-sealed: damage the image body and recompute its footer, so
+    // only the structural checks and the per-entry checksums remain.
+    // deserialize must reject the image or load entries that lookup
+    // either serves verified or refuses as corrupt; it never reads
+    // past the buffer (the sanitizer build runs this).
+    const std::vector<uint8_t> body(image.begin(), image.end() - 8);
+    for (uint64_t seed = 0; seed < 200; ++seed) {
+        Rng rng(mix64(0x5ea1ed, seed));
+        std::vector<uint8_t> mutated = body;
+        mutateBytes(mutated, rng);
+        const uint64_t footer = xxh64(mutated.data(), mutated.size());
+        for (int i = 0; i < 8; ++i)
+            mutated.push_back(static_cast<uint8_t>(footer >> (8 * i)));
+        // An exact-size buffer, so any overread leaves the allocation.
+        mutated.shrink_to_fit();
+
+        buildsys::ArtifactCache cache;
+        if (!cache.deserialize(mutated)) {
+            EXPECT_EQ(cache.stats().entries, 0u) << "seed " << seed;
+            EXPECT_EQ(cache.layoutStats().entries, 0u) << "seed " << seed;
+            continue;
+        }
+        const std::vector<uint64_t> keys = cache.keys();
+        const std::vector<uint64_t> layoutKeys = cache.layoutKeys();
+        uint64_t served = 0;
+        for (uint64_t key : keys)
+            served += cache.lookup(key) != nullptr;
+        for (uint64_t key : layoutKeys)
+            served += cache.lookupLayout(key) != nullptr;
+        const buildsys::CacheStats &o = cache.stats();
+        const buildsys::CacheStats &l = cache.layoutStats();
+        // Every entry was either served (its checksum verified) or
+        // refused and evicted as a corruption — nothing else.
+        EXPECT_EQ(o.hits + o.corruptions, keys.size()) << "seed " << seed;
+        EXPECT_EQ(l.hits + l.corruptions, layoutKeys.size())
+            << "seed " << seed;
+        EXPECT_EQ(o.hits + l.hits, served) << "seed " << seed;
+        EXPECT_EQ(o.entries + l.entries, served) << "seed " << seed;
     }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "support/hash.h"
 #include "support/leb128.h"
 #include "support/memory_meter.h"
@@ -163,6 +165,68 @@ TEST(Hash, DigestIsFixedWidthHex)
     std::string d = hashDigest(0xabcull);
     EXPECT_EQ(d.size(), 16u);
     EXPECT_EQ(d, "0000000000000abc");
+}
+
+TEST(Xxh64, MatchesReferenceVectors)
+{
+    // The known anchors of the xxHash reference implementation.
+    EXPECT_EQ(xxh64("", 0), 0xef46db3751d8e999ull);
+    EXPECT_EQ(xxh64("abc", 3), 0x44bc2cf5ad770999ull);
+
+    // Expected values from the reference library, over the byte pattern
+    // (i * 131 + 7) % 256, produced by
+    //   python3 -c "import ctypes as c; x=c.CDLL('libxxhash.so.0');
+    //   x.XXH64.restype=c.c_uint64;
+    //   x.XXH64.argtypes=[c.c_char_p,c.c_size_t,c.c_uint64];
+    //   b=bytes((i*131+7)%256 for i in range(4104));
+    //   print(', '.join('0x%016x'%x.XXH64(b[o:o+n],n,0) for o,n in
+    //   [(0,n) for n in range(65)]+[(0,1024),(0,4096)]+
+    //   [(o,100) for o in range(1,8)]))"
+    std::vector<uint8_t> buf(4104);
+    for (size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<uint8_t>(i * 131 + 7);
+
+    // Lengths 0-64 walk every tail path (1-, 4- and 8-byte steps) with
+    // zero, one and two 32-byte stripes.
+    const uint64_t byLength[65] = {
+        0xef46db3751d8e999ull, 0xa96c7f0ce858bbb7ull, 0xc22c6a70ad56bba6ull,
+        0xbed43740ee6332bbull, 0xfa212ae44b3bb23dull, 0xd339dcc9ac8e6776ull,
+        0x71cabdc85da7ffa0ull, 0x2744460dd675d2c0ull, 0x994b676b71ce94ddull,
+        0x572b84c18b983af8ull, 0x08283fd40ee4f8c9ull, 0x97f078da7a1a590cull,
+        0xb92f588ce720786eull, 0xdadc8a6255b4829bull, 0x574269377227d80aull,
+        0x09e6451ed2ff8b1dull, 0x94ad0095e72b24d5ull, 0x1464f2eff23b5fe1ull,
+        0x712c39f6d1ed935eull, 0x83ef9c758393e89dull, 0x67822fa80e0c8933ull,
+        0xfa6de19e99ff8d43ull, 0xa8d0ae04d79885f2ull, 0xcf65b69586b05fabull,
+        0x0a3b0194f3afe0b8ull, 0xe0fd072fff811c86ull, 0xc4f7372a7fb8f247ull,
+        0xfee26cac05aeecf0ull, 0x01a6f3d224fa7d3bull, 0x161a3bc98afcf092ull,
+        0x3f8796d7bfaaaa08ull, 0x6711d55e306b5d8full, 0x07f7b8e3bc5d6e25ull,
+        0x09f85eeb4e1cbe9full, 0x35284e7f91dd1ae5ull, 0x25cc31e4544bc8c9ull,
+        0xe7ac625222f2b655ull, 0x1d8c3a2215085739ull, 0x1fb3064ed36c675full,
+        0xb13c137a0fb701c3ull, 0xd25150177ba46490ull, 0x3ad8bb2779d9285eull,
+        0xfe4ddab6e3d75ddcull, 0x9d340603aa03cc62ull, 0xd02b2028c27a5329ull,
+        0xff59426b0066066bull, 0x713a114207f600e2ull, 0x79bd9d6dd8c15570ull,
+        0x2947de5e3a6afeceull, 0x43f1e784039912d3ull, 0x072fa9968401e9c7ull,
+        0xc3c4ff0d8f66e206ull, 0x0efbc3939fa05814ull, 0x42be842d0902d7a7ull,
+        0x8a78b907c424dc46ull, 0x8f8dc5b07f6d48edull, 0xa2acf5b431db2e52ull,
+        0x403200f5d0354116ull, 0xc326a3d65678339bull, 0xa53b8e5bc9ff65a4ull,
+        0x4cce586d8aca19e5ull, 0xbd3bd33486af6dc6ull, 0x4149dd403b20a2dcull,
+        0xb7c9968c066cb6a5ull, 0x50d4159a0411632eull,
+    };
+    for (size_t len = 0; len <= 64; ++len)
+        EXPECT_EQ(xxh64(buf.data(), len), byLength[len]) << "len " << len;
+
+    EXPECT_EQ(xxh64(buf.data(), 1024), 0x5960af0c625acfb7ull);
+    EXPECT_EQ(xxh64(buf.data(), 4096), 0xcf05adf75aca30cfull);
+
+    // Unaligned starts: 100 bytes from offsets 1-7.
+    const uint64_t byOffset[7] = {
+        0xdf104be44ddedc5eull, 0x576db27a43b044c7ull, 0xf4e51efe1a86aa1full,
+        0x11063669b0e294abull, 0x437ecb8ad1afec2bull, 0x11f069fa8b7f7fe7ull,
+        0x24558adf44c51bd4ull,
+    };
+    for (size_t off = 1; off <= 7; ++off)
+        EXPECT_EQ(xxh64(buf.data() + off, 100), byOffset[off - 1])
+            << "offset " << off;
 }
 
 class Leb128Roundtrip : public ::testing::TestWithParam<uint64_t>

@@ -4,16 +4,18 @@
 /**
  * @file
  * Shared helpers for the test suite: tiny hand-built IR programs, a
- * small synthetic workload config that keeps tests fast, and a
- * field-by-field comparison of linked images.
+ * small synthetic workload config that keeps tests fast, a
+ * field-by-field comparison of linked images, and journal framing.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "build/journal.h"
 #include "ir/ir.h"
 #include "linker/executable.h"
 #include "workload/workload.h"
@@ -166,6 +168,17 @@ expectSameImage(const linker::Executable &a, const linker::Executable &b,
     EXPECT_EQ(a.sizes.relocs, b.sizes.relocs) << what;
     EXPECT_EQ(a.sizes.debug, b.sizes.debug) << what;
     EXPECT_EQ(a.sizes.other, b.sizes.other) << what;
+}
+
+/** @p payload framed as a journal container stamped @p generation. */
+inline std::vector<uint8_t>
+journaled(uint64_t generation, const std::vector<uint8_t> &payload)
+{
+    std::vector<uint8_t> buf(buildsys::kJournalHeaderBytes + payload.size());
+    std::copy(payload.begin(), payload.end(),
+              buf.begin() + buildsys::kJournalHeaderBytes);
+    buildsys::encodeJournal(generation, buf);
+    return buf;
 }
 
 } // namespace propeller::test

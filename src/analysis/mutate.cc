@@ -131,7 +131,7 @@ injectSwappedFallThrough(Executable &exe, Rng &rng)
         if (!has_v2)
             continue;
         for (const auto &block : map.blocks) {
-            if (block.size == 0 || block.succs.empty())
+            if (block.size == 0 || map.successors(block).empty())
                 continue;
             const DecodedRange *owner = nullptr;
             for (const auto &r : ranges) {
@@ -155,7 +155,7 @@ injectSwappedFallThrough(Executable &exe, Rng &rng)
             // successors alias the next block), so exclude victims at
             // any declared successor's address, not just by id.
             std::unordered_set<uint64_t> succ_addrs;
-            for (uint32_t s : block.succs)
+            for (uint32_t s : map.successors(block))
                 for (const auto &b2 : map.blocks)
                     if (b2.bbId == s)
                         succ_addrs.insert(b2.address);

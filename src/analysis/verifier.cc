@@ -452,7 +452,7 @@ ExeVerifier::checkAddrMap(size_t m, VerifyReport &rep) const
     for (const auto &block : map.blocks)
         addr_of.emplace(block.bbId, block.address);
     for (const auto &block : map.blocks) {
-        if (block.size == 0 || block.succs.empty())
+        if (block.size == 0 || map.successors(block).empty())
             continue;
         const RangeInfo *owner = ownerOf(block.address);
         if (!owner || !owner->decoded)
@@ -482,7 +482,7 @@ ExeVerifier::checkAddrMap(size_t m, VerifyReport &rep) const
             // Match successors by address, not id: a declared successor
             // relaxed down to zero bytes sits at the same address as the
             // block physically reached through it.
-            for (uint32_t s : block.succs)
+            for (uint32_t s : map.successors(block))
                 if (addr_of.count(s) && addr_of.at(s) == target)
                     return;
             diag(CheckId::PV006, last.addr,

@@ -302,14 +302,15 @@ class ArtifactCache
 
     /**
      * Byte image of both tiers for cross-process warm reruns: magic
-     * "PAC3", per-tier entry counts, entries in sorted key order (each
+     * "PAC4", per-tier entry counts, entries in sorted key order (each
      * carrying its digest alias key, so the primed index survives the
      * round trip), and a trailing XXH64 checksum over everything
      * before it, so a damaged file is rejected as a whole rather than
      * silently half-loaded (individual entries additionally carry their
      * own checksums, which lookup/scrub keep verifying after load).
      * Older images ("PAC1" without digests, "PAC2" with FNV-1a
-     * checksums) are rejected — a cold rebuild, not a correctness
+     * checksums, "PAC3" whose objects carried a second copy of their
+     * address maps) are rejected — a cold rebuild, not a correctness
      * hazard.
      *
      * The image starts after @p headroom zero bytes and the buffer is
@@ -384,7 +385,7 @@ class ArtifactCache
 
   private:
     /** Image magic, then the two per-tier entry counts. */
-    static constexpr char kImageMagic[4] = {'P', 'A', 'C', '3'};
+    static constexpr char kImageMagic[4] = {'P', 'A', 'C', '4'};
     static constexpr size_t kImageHeaderBytes = sizeof kImageMagic + 8 * 2;
 
     struct Entry

@@ -363,6 +363,7 @@ compileModule(const ir::Module &mod, const Options &opts)
     obj.name = mod.name + ".o";
 
     uint64_t lsda_bytes = 0;
+    std::vector<FunctionAddrMap> addr_maps;
 
     for (const auto &fn : mod.functions) {
         std::vector<SectionPlan> plans = planSections(*fn, opts);
@@ -374,6 +375,7 @@ compileModule(const ir::Module &mod, const Options &opts)
                 section_of.emplace(bb->id, plan.symbol);
         }
 
+        const bool keep_map = opts.emitAddrMapSection && !fn->isHandAsm;
         FunctionAddrMap map;
         map.functionName = fn->name;
 
@@ -393,7 +395,7 @@ compileModule(const ir::Module &mod, const Options &opts)
             uint32_t section_index =
                 static_cast<uint32_t>(obj.sections.size());
 
-            if (!fn->isHandAsm)
+            if (keep_map)
                 map.ranges.push_back(provisionalRange(sec, plan.symbol));
 
             FrameDescriptor fde;
@@ -412,7 +414,7 @@ compileModule(const ir::Module &mod, const Options &opts)
             obj.sections.push_back(std::move(sec));
         }
 
-        if (!fn->isHandAsm) {
+        if (keep_map) {
             // Attach the stale-profile fingerprints (v2 metadata): the
             // hashes are a pure function of the IR, so they are identical
             // across every layout codegen can be asked to produce.
@@ -421,10 +423,11 @@ compileModule(const ir::Module &mod, const Options &opts)
             for (auto &range : map.ranges) {
                 for (auto &entry : range.blocks) {
                     entry.hash = fp.blockHash.at(entry.bbId);
-                    entry.succs = fn->findBlock(entry.bbId)->successors();
+                    map.setSuccessors(
+                        entry, fn->findBlock(entry.bbId)->successors());
                 }
             }
-            obj.addrMaps.push_back(std::move(map));
+            addr_maps.push_back(std::move(map));
         }
 
         if (has_landing_pads) {
@@ -471,12 +474,12 @@ compileModule(const ir::Module &mod, const Options &opts)
             ranges * 2 + debug_bytes / 26);
     }
 
-    if (opts.emitAddrMapSection && !obj.addrMaps.empty()) {
+    if (!addr_maps.empty()) {
         Section bam;
         bam.name = ".bb_addr_map";
         bam.type = SectionType::BbAddrMap;
         bam.alignment = 1;
-        bam.bytes = elf::encodeAddrMaps(obj.addrMaps);
+        bam.bytes = elf::encodeAddrMaps(addr_maps);
         obj.sections.push_back(std::move(bam));
     }
 

@@ -93,9 +93,9 @@ struct Options
     const ClusterMap *clusters = nullptr;
 
     /**
-     * Emit the encoded .bb_addr_map section (Phase 2 metadata builds).
-     * Structured address maps are always attached to the object for the
-     * linker; this flag controls whether the binary pays the size.
+     * Emit the encoded .bb_addr_map section (Phase 2 metadata builds):
+     * the object's only copy of its address maps, which the linker and
+     * every other reader decode.
      */
     bool emitAddrMapSection = false;
 

@@ -1,5 +1,6 @@
 #include "elf/bb_addr_map.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "support/hash.h"
@@ -20,6 +21,15 @@ FunctionAddrMap::blockCount() const
     return n;
 }
 
+void
+FunctionAddrMap::setSuccessors(BbEntry &block,
+                               std::span<const uint32_t> succs)
+{
+    block.succBegin = static_cast<uint32_t>(succIds.size());
+    block.succCount = static_cast<uint32_t>(succs.size());
+    succIds.insert(succIds.end(), succs.begin(), succs.end());
+}
+
 namespace {
 
 /** First byte of a v2 blob.  A non-empty v1 blob can never start with
@@ -32,17 +42,6 @@ encodeString(const std::string &s, std::vector<uint8_t> &out)
 {
     encodeUleb128(s.size(), out);
     out.insert(out.end(), s.begin(), s.end());
-}
-
-bool
-decodeString(const std::vector<uint8_t> &data, size_t &pos, std::string &out)
-{
-    auto len = decodeUleb128(data, pos);
-    if (!len || pos + *len > data.size())
-        return false;
-    out.assign(data.begin() + pos, data.begin() + pos + *len);
-    pos += *len;
-    return true;
 }
 
 /** Append @p v as 8 little-endian bytes. */
@@ -61,6 +60,70 @@ get64(const uint8_t *p)
     for (int i = 0; i < 8; ++i)
         v |= static_cast<uint64_t>(p[i]) << (8 * i);
     return v;
+}
+
+/**
+ * Field reader over [p, end).  Each read reports failure instead of
+ * building a status, so the decoder names the field only on the error
+ * path.
+ */
+struct Cursor
+{
+    const uint8_t *p;
+    const uint8_t *end;
+
+    /** One ULEB128 field; false when truncated or wider than 64 bits. */
+    bool
+    uleb(uint64_t &out)
+    {
+        uint64_t v = 0;
+        unsigned shift = 0;
+        while (p < end) {
+            uint8_t byte = *p++;
+            if (shift >= 64)
+                return false;
+            v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+            if ((byte & 0x80) == 0) {
+                out = v;
+                return true;
+            }
+            shift += 7;
+        }
+        return false;
+    }
+
+    /** A length-prefixed string. */
+    bool
+    str(std::string &out)
+    {
+        uint64_t len = 0;
+        if (!uleb(len) || len > static_cast<uint64_t>(end - p))
+            return false;
+        out.assign(reinterpret_cast<const char *>(p), len);
+        p += len;
+        return true;
+    }
+
+    /** Bytes left; an upper bound on any count still to be decoded. */
+    uint64_t
+    left() const
+    {
+        return p < end ? static_cast<uint64_t>(end - p) : 0;
+    }
+};
+
+support::Status
+truncated(const char *what)
+{
+    return makeError(ErrorCode::kTruncated, std::string("truncated ") + what);
+}
+
+support::Status
+oversized(const char *what, uint64_t n)
+{
+    return makeError(ErrorCode::kMalformed, std::string(what) + " " +
+                                                std::to_string(n) +
+                                                " exceeds payload size");
 }
 
 } // namespace
@@ -102,8 +165,8 @@ encodeAddrMaps(const std::vector<FunctionAddrMap> &maps,
                 if (features & kAddrMapFeatureHashes)
                     encodeUleb128(bb.hash, out);
                 if (features & kAddrMapFeatureSuccessors) {
-                    encodeUleb128(bb.succs.size(), out);
-                    for (uint32_t succ : bb.succs)
+                    encodeUleb128(bb.succCount, out);
+                    for (uint32_t succ : map.successors(bb))
                         encodeUleb128(succ, out);
                 }
                 expected_offset += bb.size;
@@ -120,8 +183,8 @@ encodeAddrMaps(const std::vector<FunctionAddrMap> &maps,
 StatusOr<std::vector<FunctionAddrMap>>
 decodeAddrMapsChecked(const std::vector<uint8_t> &data)
 {
-    size_t pos = 0;
-    size_t payload_end = data.size();
+    Cursor in{data.data(), data.data() + data.size()};
+    const uint8_t *payload_end = in.end;
     uint64_t features = 0;
     if (data.size() > 1 && data[0] == kV2Escape) {
         // v2 blobs end with a checksum; verify it before trusting any
@@ -130,164 +193,110 @@ decodeAddrMapsChecked(const std::vector<uint8_t> &data)
         if (data.size() < kV2MinSize)
             return makeError(ErrorCode::kTruncated,
                              "v2 blob shorter than header + checksum");
-        payload_end = data.size() - 8;
-        uint64_t want = get64(data.data() + payload_end);
-        uint64_t got = fnv1a(data.data(), payload_end);
+        payload_end = in.end - 8;
+        uint64_t want = get64(payload_end);
+        uint64_t got = fnv1a(data.data(), data.size() - 8);
         if (want != got)
             return makeError(ErrorCode::kChecksumMismatch,
                              ".bb_addr_map content checksum does not "
                              "verify");
-        pos = 1;
-        auto version = decodeUleb128(data, pos);
-        if (!version)
-            return makeError(ErrorCode::kTruncated, "truncated version");
-        if (*version != static_cast<uint64_t>(AddrMapVersion::V2))
+        ++in.p;
+        uint64_t version = 0;
+        if (!in.uleb(version))
+            return truncated("version");
+        if (version != static_cast<uint64_t>(AddrMapVersion::V2))
             return makeError(ErrorCode::kUnknownVersion,
-                             "wire version " + std::to_string(*version));
-        auto feats = decodeUleb128(data, pos);
-        if (!feats)
-            return makeError(ErrorCode::kTruncated,
-                             "truncated feature bits");
-        if ((*feats & ~kAddrMapKnownFeatures) != 0)
+                             "wire version " + std::to_string(version));
+        if (!in.uleb(features))
+            return truncated("feature bits");
+        if ((features & ~kAddrMapKnownFeatures) != 0)
             return makeError(ErrorCode::kUnsupportedFeature,
                              "unknown feature bits 0x" +
-                                 std::to_string(*feats &
+                                 std::to_string(features &
                                                 ~kAddrMapKnownFeatures));
-        features = *feats;
     }
-
-    // Decode ULEB fields strictly inside the payload: a field that runs
+    // Every field lies strictly inside the payload: a field that runs
     // into the trailing checksum is truncation, not data.
-    auto uleb = [&](const char *what) -> StatusOr<uint64_t> {
-        auto v = decodeUleb128(data, pos);
-        if (!v || pos > payload_end)
-            return makeError(ErrorCode::kTruncated,
-                             std::string("truncated ") + what);
-        return *v;
-    };
-    auto str = [&](const char *what, std::string &out) -> support::Status {
-        size_t before = pos;
-        if (!decodeString(data, pos, out) || pos > payload_end) {
-            pos = before;
-            return makeError(ErrorCode::kTruncated,
-                             std::string("truncated ") + what);
-        }
-        return support::okStatus();
-    };
+    in.end = payload_end;
+    const bool hashes = features & kAddrMapFeatureHashes;
+    const bool successors = features & kAddrMapFeatureSuccessors;
 
-    PROPELLER_ASSIGN_OR_RETURN(uint64_t n_funcs, uleb("function count"));
+    uint64_t n_funcs = 0;
+    if (!in.uleb(n_funcs))
+        return truncated("function count");
     // Sanity bound: every function entry needs at least 4 bytes, so any
     // larger count is corrupt input (guards reserve() on fuzzed bytes).
     if (n_funcs > data.size())
-        return makeError(ErrorCode::kMalformed,
-                         "function count " + std::to_string(n_funcs) +
-                             " exceeds payload size");
+        return oversized("function count", n_funcs);
 
     std::vector<FunctionAddrMap> maps;
-    maps.reserve(n_funcs);
+    maps.reserve(std::min(n_funcs, in.left()));
     for (uint64_t f = 0; f < n_funcs; ++f) {
-        FunctionAddrMap map;
+        FunctionAddrMap &map = maps.emplace_back();
         auto ctx = [&](support::Status s) {
             return std::move(s).withContext(
                 map.functionName.empty()
                     ? "function #" + std::to_string(f)
                     : "function " + map.functionName);
         };
-        if (auto s = str("function name", map.functionName); !s.ok())
-            return ctx(std::move(s));
-        if (features & kAddrMapFeatureHashes) {
-            auto fn_hash = uleb("function hash");
-            if (!fn_hash.ok())
-                return ctx(fn_hash.status());
-            map.functionHash = *fn_hash;
-        }
-        auto n_ranges = uleb("range count");
-        if (!n_ranges.ok())
-            return ctx(n_ranges.status());
-        if (*n_ranges > data.size())
-            return ctx(makeError(ErrorCode::kMalformed,
-                                 "range count " +
-                                     std::to_string(*n_ranges) +
-                                     " exceeds payload size"));
-        for (uint64_t r = 0; r < *n_ranges; ++r) {
-            BbRange range;
-            if (auto s = str("section symbol", range.sectionSymbol);
-                !s.ok())
-                return ctx(std::move(s));
-            auto n_blocks = uleb("block count");
-            auto offset = uleb("range offset");
-            if (!n_blocks.ok())
-                return ctx(n_blocks.status());
-            if (!offset.ok())
-                return ctx(offset.status());
-            if (*n_blocks > data.size())
-                return ctx(makeError(ErrorCode::kMalformed,
-                                     "block count " +
-                                         std::to_string(*n_blocks) +
-                                         " exceeds payload size"));
-            uint64_t cursor = *offset;
-            for (uint64_t b = 0; b < *n_blocks; ++b) {
-                BbEntry bb;
-                auto id_flags = uleb("block id");
-                auto size = uleb("block size");
-                if (!id_flags.ok())
-                    return ctx(id_flags.status());
-                if (!size.ok())
-                    return ctx(size.status());
-                bb.bbId = static_cast<uint32_t>(*id_flags >> 3);
-                bb.flags = static_cast<uint8_t>(*id_flags & 0x7);
+        if (!in.str(map.functionName))
+            return ctx(truncated("function name"));
+        if (hashes && !in.uleb(map.functionHash))
+            return ctx(truncated("function hash"));
+        uint64_t n_ranges = 0;
+        if (!in.uleb(n_ranges))
+            return ctx(truncated("range count"));
+        if (n_ranges > data.size())
+            return ctx(oversized("range count", n_ranges));
+        map.ranges.reserve(std::min(n_ranges, in.left()));
+        for (uint64_t r = 0; r < n_ranges; ++r) {
+            BbRange &range = map.ranges.emplace_back();
+            if (!in.str(range.sectionSymbol))
+                return ctx(truncated("section symbol"));
+            uint64_t n_blocks = 0, cursor = 0;
+            if (!in.uleb(n_blocks))
+                return ctx(truncated("block count"));
+            if (!in.uleb(cursor))
+                return ctx(truncated("range offset"));
+            if (n_blocks > data.size())
+                return ctx(oversized("block count", n_blocks));
+            range.blocks.reserve(std::min(n_blocks, in.left()));
+            for (uint64_t b = 0; b < n_blocks; ++b) {
+                BbEntry &bb = range.blocks.emplace_back();
+                uint64_t id_flags = 0, size = 0;
+                if (!in.uleb(id_flags))
+                    return ctx(truncated("block id"));
+                if (!in.uleb(size))
+                    return ctx(truncated("block size"));
+                bb.bbId = static_cast<uint32_t>(id_flags >> 3);
+                bb.flags = static_cast<uint8_t>(id_flags & 0x7);
                 bb.offset = static_cast<uint32_t>(cursor);
-                bb.size = static_cast<uint32_t>(*size);
-                cursor += *size;
-                if (features & kAddrMapFeatureHashes) {
-                    auto hash = uleb("block hash");
-                    if (!hash.ok())
-                        return ctx(hash.status());
-                    bb.hash = *hash;
+                bb.size = static_cast<uint32_t>(size);
+                cursor += size;
+                if (hashes && !in.uleb(bb.hash))
+                    return ctx(truncated("block hash"));
+                if (!successors)
+                    continue;
+                uint64_t n_succs = 0;
+                if (!in.uleb(n_succs))
+                    return ctx(truncated("successor count"));
+                if (n_succs > data.size())
+                    return ctx(oversized("successor count", n_succs));
+                bb.succBegin = static_cast<uint32_t>(map.succIds.size());
+                bb.succCount = static_cast<uint32_t>(n_succs);
+                for (uint64_t s = 0; s < n_succs; ++s) {
+                    uint64_t succ = 0;
+                    if (!in.uleb(succ))
+                        return ctx(truncated("successor id"));
+                    map.succIds.push_back(static_cast<uint32_t>(succ));
                 }
-                if (features & kAddrMapFeatureSuccessors) {
-                    auto n_succs = uleb("successor count");
-                    if (!n_succs.ok())
-                        return ctx(n_succs.status());
-                    if (*n_succs > data.size())
-                        return ctx(makeError(
-                            ErrorCode::kMalformed,
-                            "successor count " +
-                                std::to_string(*n_succs) +
-                                " exceeds payload size"));
-                    bb.succs.reserve(*n_succs);
-                    for (uint64_t s = 0; s < *n_succs; ++s) {
-                        auto succ = uleb("successor id");
-                        if (!succ.ok())
-                            return ctx(succ.status());
-                        bb.succs.push_back(
-                            static_cast<uint32_t>(*succ));
-                    }
-                }
-                range.blocks.push_back(std::move(bb));
             }
-            map.ranges.push_back(std::move(range));
         }
-        maps.push_back(std::move(map));
     }
-    if (pos != payload_end)
+    if (in.p != payload_end)
         return makeError(ErrorCode::kMalformed,
                          "trailing bytes after last function entry");
     return maps;
-}
-
-std::vector<FunctionAddrMap>
-decodeAddrMaps(const std::vector<uint8_t> &data, bool *ok)
-{
-    auto maps = decodeAddrMapsChecked(data);
-    if (!maps.ok()) {
-        if (ok)
-            *ok = false;
-        return {};
-    }
-    if (ok)
-        *ok = true;
-    return std::move(maps).value();
 }
 
 } // namespace propeller::elf

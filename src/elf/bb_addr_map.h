@@ -32,6 +32,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,8 +80,13 @@ struct BbEntry
      */
     uint64_t hash = 0;
 
-    /** Static successor block ids, in terminator order (v2). */
-    std::vector<uint32_t> succs;
+    /**
+     * This block's static successor ids (v2), in terminator order: a
+     * slice of the owning FunctionAddrMap::succIds, read through
+     * FunctionAddrMap::successors().
+     */
+    uint32_t succBegin = 0;
+    uint32_t succCount = 0;
 
     bool operator==(const BbEntry &) const = default;
 };
@@ -108,10 +114,23 @@ struct FunctionAddrMap
      */
     uint64_t functionHash = 0;
 
+    /** Successor ids of every block, stored once, in block order. */
+    std::vector<uint32_t> succIds;
+
     bool operator==(const FunctionAddrMap &) const = default;
 
     /** Total number of blocks across all ranges. */
     size_t blockCount() const;
+
+    /** Static successor block ids of @p block, one of this map's. */
+    std::span<const uint32_t>
+    successors(const BbEntry &block) const
+    {
+        return {succIds.data() + block.succBegin, block.succCount};
+    }
+
+    /** Append @p succs as @p block's successor list (blocks in order). */
+    void setSuccessors(BbEntry &block, std::span<const uint32_t> succs);
 };
 
 /**
@@ -134,15 +153,6 @@ std::vector<uint8_t> encodeAddrMaps(const std::vector<FunctionAddrMap> &maps,
  */
 support::StatusOr<std::vector<FunctionAddrMap>>
 decodeAddrMapsChecked(const std::vector<uint8_t> &data);
-
-/**
- * Legacy wrapper around decodeAddrMapsChecked().
- *
- * @return decoded maps; returns an empty vector on malformed input (and
- *         sets @p ok to false if provided).
- */
-std::vector<FunctionAddrMap> decodeAddrMaps(const std::vector<uint8_t> &data,
-                                            bool *ok = nullptr);
 
 } // namespace propeller::elf
 

@@ -174,11 +174,12 @@ struct ObjectFile
 {
     std::string name; ///< e.g. "mod_001.o".
 
+    /**
+     * Sections, including the encoded .bb_addr_map when codegen was asked
+     * for one: the object's only copy of its address maps.
+     */
     std::vector<Section> sections;
     std::vector<Symbol> symbols;
-
-    /** BB address map entries for every function in this object. */
-    std::vector<FunctionAddrMap> addrMaps;
 
     /** CFI frame descriptors, one or more per text section. */
     std::vector<FrameDescriptor> frames;

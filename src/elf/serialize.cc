@@ -16,7 +16,9 @@ namespace propeller::elf {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x0b1ec7f1;
+/** Format magic: a layout change bumps it, so older objects are refused
+ *  instead of misread. */
+constexpr uint32_t kMagic = 0x0b1ec7f2;
 
 void
 putString(const std::string &s, std::vector<uint8_t> &out)
@@ -180,8 +182,6 @@ ObjectFile::serialize() const
         putString(sym.parentFunction, out);
     }
 
-    putBytes(encodeAddrMaps(addrMaps), out);
-
     putU64(frames.size(), out);
     for (const auto &fde : frames) {
         putString(fde.sectionSymbol, out);
@@ -274,16 +274,6 @@ ObjectFile::deserializeChecked(const std::vector<uint8_t> &data)
         sym.kind = static_cast<SymbolKind>(kind);
         sym.parentFunction = r.str();
         obj.symbols.push_back(std::move(sym));
-    }
-
-    if (!r.failed()) {
-        auto maps = decodeAddrMapsChecked(r.bytes());
-        if (!maps.ok()) {
-            support::Status s = maps.status();
-            return std::move(s).withContext("object " + obj.name +
-                                            ": .bb_addr_map");
-        }
-        obj.addrMaps = std::move(maps).value();
     }
 
     uint64_t n_frames = r.count("oversized frame count");

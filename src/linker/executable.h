@@ -17,6 +17,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,8 +45,13 @@ struct ExecBlock
     /** Stable fingerprint from the v2 address map (0 if v1 metadata). */
     uint64_t hash = 0;
 
-    /** Static successor block ids from the v2 address map. */
-    std::vector<uint32_t> succs;
+    /**
+     * Static successor block ids from the v2 address map: a slice of the
+     * owning ExecFuncMap::succIds, read through
+     * ExecFuncMap::successors().
+     */
+    uint32_t succBegin = 0;
+    uint32_t succCount = 0;
 };
 
 /** Absolute-address BB map for one function. */
@@ -56,6 +62,26 @@ struct ExecFuncMap
 
     /** Whole-function fingerprint from the v2 address map (0 if v1). */
     uint64_t functionHash = 0;
+
+    /** Successor ids of every block, stored once, in block order. */
+    std::vector<uint32_t> succIds;
+
+    /** Static successor block ids of @p block, one of this map's. */
+    std::span<const uint32_t>
+    successors(const ExecBlock &block) const
+    {
+        return {succIds.data() + block.succBegin, block.succCount};
+    }
+
+    /** Append @p block with @p succs as its successor list. */
+    void
+    addBlock(ExecBlock block, std::span<const uint32_t> succs)
+    {
+        block.succBegin = static_cast<uint32_t>(succIds.size());
+        block.succCount = static_cast<uint32_t>(succs.size());
+        succIds.insert(succIds.end(), succs.begin(), succs.end());
+        blocks.push_back(block);
+    }
 };
 
 /**

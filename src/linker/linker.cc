@@ -574,38 +574,40 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
         addr_map_kept[oi] = kept;
     }
 
-    // Stale-profile fingerprints live in the object address maps (the
-    // emitted sections only carry block marks); index them by function
-    // and block id so the final ExecFuncMap can be annotated below.  The
-    // first entry of an id wins and a function's hash is its last map's.
-    // The decoded maps are link-local, so successor lists move out of
-    // them: codegen emits each block of a function once, into exactly
-    // one section.
-    BlockTable<elf::BbEntry *> fp_of(fn_slot_base, fn_slot_count,
-                                     num_slots, nullptr);
+    // Stale-profile fingerprints and successor lists live in the object
+    // address maps (the emitted sections only carry block marks); index
+    // them by function and block id so the final ExecFuncMap can be
+    // annotated below.  The first entry of an id wins and a function's
+    // hash is its last map's.
+    struct MapEntry
+    {
+        const elf::FunctionAddrMap *map = nullptr;
+        const elf::BbEntry *bb = nullptr;
+    };
+    BlockTable<MapEntry> fp_of(fn_slot_base, fn_slot_count, num_slots, {});
     std::vector<uint64_t> fn_hash(num_functions, 0);
     for (uint32_t oi = 0; oi < objects.size(); ++oi) {
         if (!addr_map_kept[oi])
             continue;
-        for (auto &map : decoded_maps[oi]) {
+        for (const auto &map : decoded_maps[oi]) {
             auto fit = function_ids.find(map.functionName);
             if (fit == function_ids.end())
                 continue; // No section of this function is linked.
             const uint32_t f = fit->second;
             fn_hash[f] = map.functionHash;
-            for (auto &range : map.ranges) {
-                for (auto &bb : range.blocks) {
-                    elf::BbEntry **entry = fp_of.dense(f, bb.bbId);
-                    if (entry && !*entry)
-                        *entry = &bb;
+            for (const auto &range : map.ranges) {
+                for (const auto &bb : range.blocks) {
+                    MapEntry *entry = fp_of.dense(f, bb.bbId);
+                    if (entry && !entry->bb)
+                        *entry = {&map, &bb};
                     else if (!entry)
-                        fp_of.spill(pairKey(f, bb.bbId), &bb);
+                        fp_of.spill(pairKey(f, bb.bbId), {&map, &bb});
                 }
             }
         }
     }
-    auto fingerprint = [&](uint32_t f, uint32_t bb_id) -> elf::BbEntry * {
-        if (elf::BbEntry **entry = fp_of.dense(f, bb_id))
+    auto fingerprint = [&](uint32_t f, uint32_t bb_id) -> MapEntry {
+        if (MapEntry *entry = fp_of.dense(f, bb_id))
             return *entry;
         return fp_of.spilled(pairKey(f, bb_id));
     };
@@ -638,7 +640,7 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
         if (fn_map_index[f] < 0) {
             fn_map_index[f] = static_cast<int32_t>(func_maps.size());
             func_maps.push_back(
-                ExecFuncMap{sect.sym->parentFunction, {}, fn_hash[f]});
+                ExecFuncMap{sect.sym->parentFunction, {}, fn_hash[f], {}});
             func_maps.back().blocks.reserve(fn_map_blocks[f]);
         }
         ExecFuncMap &map = func_maps[fn_map_index[f]];
@@ -652,11 +654,12 @@ linkChecked(const std::vector<ObjectFile> &objects, const Options &opts,
                                 : sect.addr + sect.size;
             block.size = static_cast<uint32_t>(next - block.address);
             block.flags = block_flags[slot];
-            if (elf::BbEntry *bb = fingerprint(f, block.bbId)) {
-                block.hash = bb->hash;
-                block.succs = std::move(bb->succs);
+            std::span<const uint32_t> succs;
+            if (const MapEntry entry = fingerprint(f, block.bbId); entry.bb) {
+                block.hash = entry.bb->hash;
+                succs = entry.map->successors(*entry.bb);
             }
-            map.blocks.push_back(std::move(block));
+            map.addBlock(block, succs);
         }
     }
     exe.bbAddrMap = std::move(func_maps);

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,6 +49,11 @@ struct BlockRef
  * (quarantined), so its samples simply go unmapped and the function
  * keeps its baseline layout, instead of feeding the layout pass garbage
  * intervals.  Honest metadata is indexed unchanged.
+ *
+ * Everything lives in flat arrays built in one pass over the maps: the
+ * intervals, one successor pool, and per-function rows (compressed
+ * sparse rows) of interval indices and of a dense block-id table, so
+ * block() and successors() are O(1).
  */
 class AddrMapIndex
 {
@@ -91,8 +97,8 @@ class AddrMapIndex
      * Static successor block ids of (function, block), from the v2
      * address map; empty for v1 metadata or unknown blocks.
      */
-    const std::vector<uint32_t> &successors(uint32_t func_index,
-                                            uint32_t bb_id) const;
+    std::span<const uint32_t> successors(uint32_t func_index,
+                                         uint32_t bb_id) const;
 
     /** Entry block id of function @p func_index (lowest block address of
      *  the primary range is not necessarily the entry; this is the block
@@ -116,14 +122,23 @@ class AddrMapIndex
     struct Interval
     {
         uint64_t start;
-        uint64_t end;
+        uint64_t hash;
         uint32_t funcIndex;
         uint32_t bbId;
+        uint32_t size;
+        uint32_t succBegin; ///< Slice of succPool_.
+        uint32_t succCount;
         uint8_t flags;
-        uint64_t hash;
     };
+    // footprint() is charged to the memory meter: 40 bytes per block.
+    static_assert(sizeof(Interval) == 40);
 
-    static BlockRef toRef(const Interval &iv);
+    static constexpr uint32_t kNoInterval = UINT32_MAX;
+
+    static BlockRef toRef(const Interval &iv, uint32_t index);
+
+    /** Interval of (function, block id), or kNoInterval. */
+    uint32_t intervalOf(uint32_t func_index, uint32_t bb_id) const;
 
     std::vector<Interval> intervals_; ///< Sorted by start address.
     std::vector<std::string> functionNames_;
@@ -132,11 +147,18 @@ class AddrMapIndex
     std::vector<std::string> quarantined_;
     std::vector<uint32_t> entryBlocks_;
     std::vector<uint64_t> functionHashes_;
-    /** Per function: interval indices in address order. */
-    std::vector<std::vector<uint32_t>> funcIntervals_;
-    /** Per function: block id -> static successor ids (v2 metadata). */
-    std::vector<std::unordered_map<uint32_t, std::vector<uint32_t>>>
-        funcSuccs_;
+    /** Successor ids of every block (v2 metadata). */
+    std::vector<uint32_t> succPool_;
+    /**
+     * Per function f, rows funcBegin_[f] .. funcBegin_[f + 1] of:
+     * funcIntervals_, its interval indices in address order, and
+     * idTable_, the interval of each block id below its block count.
+     */
+    std::vector<uint32_t> funcBegin_;
+    std::vector<uint32_t> funcIntervals_;
+    std::vector<uint32_t> idTable_;
+    /** (function << 32 | block id) -> interval, for ids past the table. */
+    std::unordered_map<uint64_t, uint32_t> idSpill_;
 };
 
 } // namespace propeller::core

@@ -168,7 +168,8 @@ inferFunction(FunctionDcfg &fn, const AddrMapIndex &target, uint32_t t_idx,
     for (size_t e = 0; e < original_edges; ++e) {
         uint32_t from_bb = fn.nodes[fn.edges[e].fromNode].bbId;
         uint32_t to_bb = fn.nodes[fn.edges[e].toNode].bbId;
-        const auto &succs = target.successors(t_idx, from_bb);
+        const std::span<const uint32_t> succs =
+            target.successors(t_idx, from_bb);
         if (std::find(succs.begin(), succs.end(), to_bb) != succs.end())
             continue; // Still statically adjacent.
         std::vector<uint32_t> detour = st.findDetour(from_bb, to_bb);
@@ -210,7 +211,8 @@ inferFunction(FunctionDcfg &fn, const AddrMapIndex &target, uint32_t t_idx,
         if (freq <= st.outSum[i])
             continue;
         uint64_t deficit = freq - st.outSum[i];
-        const auto &succs = target.successors(t_idx, fn.nodes[i].bbId);
+        const std::span<const uint32_t> succs =
+            target.successors(t_idx, fn.nodes[i].bbId);
         if (succs.empty())
             continue;
 

@@ -464,7 +464,7 @@ TEST(WorkflowCache, TornImageColdStartsCleanly)
 
 TEST(WorkflowCache, PreviousFormatImageColdStarts)
 {
-    // A well-formed image in the previous format: a "PAC2" payload and a
+    // A well-formed image two formats back: a "PAC2" payload and a
     // "PFJ1" container, both sealed with FNV-1a footers.  It must read
     // as "no image", so the relink cold-starts.
     auto putU64 = [](std::vector<uint8_t> &out, uint64_t v) {
@@ -488,6 +488,28 @@ TEST(WorkflowCache, PreviousFormatImageColdStarts)
     uint64_t gen = 99;
     EXPECT_FALSE(reader.loadCacheFile(path, &gen));
     EXPECT_EQ(gen, 99u);
+
+    // One format back: a well-formed "PAC3" image of real entries, with
+    // its XXH64 footer, in a current journal.  Its objects carried a
+    // second copy of their address maps, so it too is "no image": no
+    // entry is loaded, and none counts as a corruption.
+    ArtifactCache old;
+    old.put(1, {1, 2, 3});
+    old.putLayout(2, {4, 5}, 7);
+    std::vector<uint8_t> pac3 = old.serialize();
+    pac3[3] = '3';
+    pac3.resize(pac3.size() - 8);
+    putU64(pac3, xxh64(pac3.data(), pac3.size()));
+    EXPECT_FALSE(ArtifactCache().deserialize(pac3));
+    ASSERT_TRUE(atomicWriteFile(path, test::journaled(5, pac3)));
+    Workflow reader3(test::smallConfig());
+    EXPECT_FALSE(reader3.loadCacheFile(path, &gen));
+    EXPECT_EQ(gen, 99u);
+    for (const CacheStats *stats :
+         {&reader3.cacheStats(), &reader3.layoutCacheStats()}) {
+        EXPECT_EQ(stats->entries, 0u);
+        EXPECT_EQ(stats->corruptions, 0u);
+    }
     std::remove(path);
 }
 

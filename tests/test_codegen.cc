@@ -22,6 +22,20 @@ tinyModule(ir::Program &program)
     return *program.modules[0];
 }
 
+/** The object's address maps, decoded from its .bb_addr_map section. */
+std::vector<elf::FunctionAddrMap>
+addrMapsOf(const ObjectFile &obj)
+{
+    int sect = obj.findSection(".bb_addr_map");
+    EXPECT_GE(sect, 0);
+    if (sect < 0)
+        return {};
+    auto maps = elf::decodeAddrMapsChecked(obj.sections[sect].bytes);
+    EXPECT_TRUE(maps.ok()) << maps.status().toString();
+    return maps.ok() ? std::move(maps).value()
+                     : std::vector<elf::FunctionAddrMap>{};
+}
+
 TEST(CodegenBaseline, OneSectionPerFunction)
 {
     ir::Program program = test::tinyProgram();
@@ -79,8 +93,9 @@ TEST(CodegenBaseline, AddrMapMatchesEmittedSizes)
     opts.emitAddrMapSection = true;
     ObjectFile obj = compileModule(tinyModule(program), opts);
 
-    ASSERT_EQ(obj.addrMaps.size(), 2u);
-    for (const auto &map : obj.addrMaps) {
+    const std::vector<elf::FunctionAddrMap> maps = addrMapsOf(obj);
+    ASSERT_EQ(maps.size(), 2u);
+    for (const auto &map : maps) {
         for (const auto &range : map.ranges) {
             int sec_idx = obj.findSection(".text." + range.sectionSymbol);
             ASSERT_GE(sec_idx, 0);
@@ -103,8 +118,6 @@ TEST(CodegenBaseline, AddrMapSectionOnlyWhenRequested)
     ir::Program program = test::tinyProgram();
     ObjectFile obj = compileModule(tinyModule(program), Options{});
     EXPECT_EQ(obj.findSection(".bb_addr_map"), -1);
-    EXPECT_FALSE(obj.addrMaps.empty())
-        << "structured maps always travel with the object";
 }
 
 TEST(CodegenClusters, SplitsIntoNamedSections)
@@ -150,6 +163,7 @@ TEST(CodegenClusters, NumericSuffixesForExtraClusters)
     Options opts;
     opts.bbSections = BbSectionsMode::Clusters;
     opts.clusters = &clusters;
+    opts.emitAddrMapSection = true;
     ObjectFile obj = compileModule(tinyModule(program), opts);
 
     EXPECT_GE(obj.findSection(".text.work.1"), 0);
@@ -157,11 +171,14 @@ TEST(CodegenClusters, NumericSuffixesForExtraClusters)
     EXPECT_GE(obj.findSection(".text.work.cold"), 0);
 
     // Four ranges in the address map, one per cluster.
-    for (const auto &map : obj.addrMaps) {
+    bool found = false;
+    for (const auto &map : addrMapsOf(obj)) {
         if (map.functionName == "work") {
+            found = true;
             EXPECT_EQ(map.ranges.size(), 4u);
         }
     }
+    EXPECT_TRUE(found);
 }
 
 TEST(CodegenClusters, CrossSectionCondBrGetsExplicitFallthrough)
@@ -242,6 +259,7 @@ TEST(CodegenEh, LandingPadSectionGetsNopPrefix)
     Options opts;
     opts.bbSections = BbSectionsMode::Clusters;
     opts.clusters = &clusters;
+    opts.emitAddrMapSection = true;
     ObjectFile obj = compileModule(tinyModule(program), opts);
 
     const elf::Section &cold =
@@ -253,7 +271,7 @@ TEST(CodegenEh, LandingPadSectionGetsNopPrefix)
     EXPECT_EQ(cold.pieces[0].bytes[0],
               static_cast<uint8_t>(isa::Opcode::Nop));
     // The landing-pad block therefore starts at a nonzero offset.
-    for (const auto &map : obj.addrMaps) {
+    for (const auto &map : addrMapsOf(obj)) {
         if (map.functionName != "work")
             continue;
         EXPECT_EQ(map.ranges[1].blocks[0].offset, 1u);
@@ -289,6 +307,7 @@ TEST(CodegenHandAsm, EmitsBlobWithoutAddrMap)
     program.modules[0]->functions[0]->isHandAsm = true;
     Options opts;
     opts.bbSections = BbSectionsMode::All; // Must be ignored for hand-asm.
+    opts.emitAddrMapSection = true;
     ObjectFile obj = compileModule(tinyModule(program), opts);
 
     const elf::Section &sec = obj.sections[obj.findSection(".text.work")];
@@ -296,7 +315,9 @@ TEST(CodegenHandAsm, EmitsBlobWithoutAddrMap)
     // Trailing data blob piece has no block mark.
     EXPECT_FALSE(sec.pieces.back().block.has_value());
     EXPECT_FALSE(sec.pieces.back().bytes.empty());
-    for (const auto &map : obj.addrMaps)
+    const std::vector<elf::FunctionAddrMap> maps = addrMapsOf(obj);
+    EXPECT_EQ(maps.size(), 1u);
+    for (const auto &map : maps)
         EXPECT_NE(map.functionName, "work");
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "elf/object.h"
 #include "support/leb128.h"
 #include "support/rng.h"
@@ -106,6 +108,29 @@ TEST(SizeBreakdown, AccumulateOperator)
     EXPECT_EQ(a.total(), 36u);
 }
 
+/** A block entry without stale-profile metadata. */
+BbEntry
+entry(uint32_t id, uint32_t offset, uint32_t size, uint8_t flags = 0)
+{
+    return {.bbId = id, .offset = offset, .size = size, .flags = flags};
+}
+
+/** Decode @p bytes, failing the test on a decode error. */
+std::vector<FunctionAddrMap>
+decoded(const std::vector<uint8_t> &bytes)
+{
+    auto maps = decodeAddrMapsChecked(bytes);
+    EXPECT_TRUE(maps.ok()) << maps.status().toString();
+    return maps.ok() ? std::move(maps).value()
+                     : std::vector<FunctionAddrMap>{};
+}
+
+bool
+rejected(const std::vector<uint8_t> &bytes)
+{
+    return !decodeAddrMapsChecked(bytes).ok();
+}
+
 TEST(BbAddrMap, EncodeDecodeRoundtrip)
 {
     std::vector<FunctionAddrMap> maps;
@@ -113,19 +138,19 @@ TEST(BbAddrMap, EncodeDecodeRoundtrip)
     fn.functionName = "foo";
     BbRange range;
     range.sectionSymbol = "foo";
-    range.blocks = {{0, 0, 12, kBbFallThrough}, {3, 12, 7, kBbReturns}};
+    range.blocks = {entry(0, 0, 12, kBbFallThrough),
+                    entry(3, 12, 7, kBbReturns)};
     fn.ranges.push_back(range);
     BbRange cold;
     cold.sectionSymbol = "foo.cold";
-    cold.blocks = {{7, 0, 30, kBbLandingPad}};
+    cold.blocks = {entry(7, 0, 30, kBbLandingPad)};
     fn.ranges.push_back(cold);
     maps.push_back(fn);
 
-    bool ok = false;
-    auto decoded = decodeAddrMaps(encodeAddrMaps(maps), &ok);
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(decoded, maps);
-    EXPECT_EQ(decoded[0].blockCount(), 3u);
+    auto got = decoded(encodeAddrMaps(maps));
+    EXPECT_EQ(got, maps);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].blockCount(), 3u);
 }
 
 TEST(BbAddrMap, RandomizedRoundtrip)
@@ -137,9 +162,10 @@ TEST(BbAddrMap, RandomizedRoundtrip)
         for (uint32_t f = 0; f < n_funcs; ++f) {
             FunctionAddrMap fn;
             fn.functionName = "fn_" + std::to_string(rng.next() % 1000);
+            fn.functionHash = rng.next();
             uint32_t n_ranges = 1 + rng.below(3);
             for (uint32_t r = 0; r < n_ranges; ++r) {
-                BbRange range;
+                BbRange &range = fn.ranges.emplace_back();
                 range.sectionSymbol =
                     fn.functionName + "." + std::to_string(r);
                 uint32_t offset = 0;
@@ -147,18 +173,21 @@ TEST(BbAddrMap, RandomizedRoundtrip)
                 for (uint32_t b = 0; b < n_blocks; ++b) {
                     uint32_t size =
                         static_cast<uint32_t>(rng.below(100000));
-                    range.blocks.push_back(
-                        {static_cast<uint32_t>(rng.below(1 << 20)), offset,
-                         size, static_cast<uint8_t>(rng.below(8))});
+                    BbEntry &bb = range.blocks.emplace_back(
+                        entry(static_cast<uint32_t>(rng.below(1 << 20)),
+                              offset, size,
+                              static_cast<uint8_t>(rng.below(8))));
+                    bb.hash = rng.next();
+                    std::vector<uint32_t> succs(rng.below(4));
+                    for (uint32_t &succ : succs)
+                        succ = static_cast<uint32_t>(rng.next());
+                    fn.setSuccessors(bb, succs);
                     offset += size;
                 }
-                fn.ranges.push_back(std::move(range));
             }
             maps.push_back(std::move(fn));
         }
-        bool ok = false;
-        EXPECT_EQ(decodeAddrMaps(encodeAddrMaps(maps), &ok), maps);
-        EXPECT_TRUE(ok);
+        EXPECT_EQ(decoded(encodeAddrMaps(maps)), maps);
     }
 }
 
@@ -169,16 +198,19 @@ TEST(BbAddrMap, FuzzedBytesNeverCrash)
         std::vector<uint8_t> junk(rng.below(64));
         for (auto &b : junk)
             b = static_cast<uint8_t>(rng.next());
-        bool ok = true;
-        auto decoded = decodeAddrMaps(junk, &ok);
-        if (ok) {
-            // Rarely valid by chance; must still be structurally sound.
-            for (const auto &map : decoded)
-                for (const auto &range : map.ranges)
-                    for (size_t b = 0; b + 1 < range.blocks.size(); ++b)
-                        EXPECT_EQ(range.blocks[b].offset +
-                                      range.blocks[b].size,
-                                  range.blocks[b + 1].offset);
+        auto maps = decodeAddrMapsChecked(junk);
+        if (!maps.ok())
+            continue;
+        // Rarely valid by chance; must still be structurally sound.
+        for (const auto &map : *maps) {
+            for (const auto &range : map.ranges) {
+                for (size_t b = 0; b + 1 < range.blocks.size(); ++b)
+                    EXPECT_EQ(range.blocks[b].offset + range.blocks[b].size,
+                              range.blocks[b + 1].offset);
+                for (const auto &bb : range.blocks)
+                    EXPECT_LE(uint64_t{bb.succBegin} + bb.succCount,
+                              map.succIds.size());
+            }
         }
     }
 }
@@ -189,28 +221,22 @@ TEST(BbAddrMap, HostileCountsRejected)
     // instead of reserving terabytes.
     std::vector<uint8_t> hostile;
     encodeUleb128(0xffffffffffffull, hostile);
-    bool ok = true;
-    decodeAddrMaps(hostile, &ok);
-    EXPECT_FALSE(ok);
+    EXPECT_TRUE(rejected(hostile));
 }
 
 TEST(BbAddrMap, MalformedInputRejected)
 {
     std::vector<FunctionAddrMap> maps(1);
     maps[0].functionName = "f";
-    maps[0].ranges.push_back({"f", {{0, 0, 5, 0}}});
+    maps[0].ranges.push_back({"f", {entry(0, 0, 5)}});
     std::vector<uint8_t> bytes = encodeAddrMaps(maps);
 
-    bool ok = true;
     std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - 2);
-    decodeAddrMaps(truncated, &ok);
-    EXPECT_FALSE(ok);
+    EXPECT_TRUE(rejected(truncated));
 
-    ok = true;
     std::vector<uint8_t> padded = bytes;
     padded.push_back(0);
-    decodeAddrMaps(padded, &ok);
-    EXPECT_FALSE(ok) << "trailing bytes must be rejected";
+    EXPECT_TRUE(rejected(padded)) << "trailing bytes must be rejected";
 }
 
 std::vector<FunctionAddrMap>
@@ -221,10 +247,13 @@ mapsWithStaleMetadata()
     maps[0].functionHash = 0xfeedface12345678ull;
     BbRange range;
     range.sectionSymbol = "f";
-    range.blocks = {{0, 0, 8, kBbFallThrough}, {3, 8, 13, kBbReturns}};
+    range.blocks = {entry(0, 0, 8, kBbFallThrough),
+                    entry(3, 8, 13, kBbReturns)};
     range.blocks[0].hash = 0xabcdef01ull;
-    range.blocks[0].succs = {3};
     range.blocks[1].hash = 0x1234ull;
+    const uint32_t succs[] = {3};
+    maps[0].setSuccessors(range.blocks[0], succs);
+    maps[0].setSuccessors(range.blocks[1], {});
     maps[0].ranges.push_back(range);
     return maps;
 }
@@ -232,13 +261,12 @@ mapsWithStaleMetadata()
 TEST(BbAddrMap, V2RoundtripPreservesStaleMetadata)
 {
     std::vector<FunctionAddrMap> maps = mapsWithStaleMetadata();
-    bool ok = false;
-    auto decoded =
-        decodeAddrMaps(encodeAddrMaps(maps, AddrMapVersion::V2), &ok);
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(decoded, maps);
-    EXPECT_EQ(decoded[0].functionHash, 0xfeedface12345678ull);
-    EXPECT_EQ(decoded[0].ranges[0].blocks[0].succs,
+    auto got = decoded(encodeAddrMaps(maps, AddrMapVersion::V2));
+    EXPECT_EQ(got, maps);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].functionHash, 0xfeedface12345678ull);
+    const auto succs = got[0].successors(got[0].ranges[0].blocks[0]);
+    EXPECT_EQ(std::vector<uint32_t>(succs.begin(), succs.end()),
               std::vector<uint32_t>{3});
 }
 
@@ -250,28 +278,25 @@ TEST(BbAddrMap, V1RoundtripDropsStaleMetadata)
     ASSERT_FALSE(bytes.empty());
     EXPECT_NE(bytes[0], 0u);
 
-    bool ok = false;
-    auto decoded = decodeAddrMaps(bytes, &ok);
-    EXPECT_TRUE(ok);
-
     std::vector<FunctionAddrMap> stripped = maps;
     stripped[0].functionHash = 0;
+    stripped[0].succIds.clear();
     for (auto &range : stripped[0].ranges) {
         for (auto &block : range.blocks) {
             block.hash = 0;
-            block.succs.clear();
+            block.succBegin = 0;
+            block.succCount = 0;
         }
     }
-    EXPECT_EQ(decoded, stripped);
+    EXPECT_EQ(decoded(bytes), stripped);
 }
 
 TEST(BbAddrMap, EmptyMapsRoundtripInBothVersions)
 {
     for (auto version : {AddrMapVersion::V1, AddrMapVersion::V2}) {
-        bool ok = false;
-        auto decoded = decodeAddrMaps(encodeAddrMaps({}, version), &ok);
-        EXPECT_TRUE(ok);
-        EXPECT_TRUE(decoded.empty());
+        auto maps = decodeAddrMapsChecked(encodeAddrMaps({}, version));
+        ASSERT_TRUE(maps.ok());
+        EXPECT_TRUE(maps->empty());
     }
 }
 
@@ -282,9 +307,7 @@ TEST(BbAddrMap, UnknownVersionRejected)
     encodeUleb128(3, bytes); // version from the future
     encodeUleb128(0, bytes); // features
     encodeUleb128(0, bytes); // function count
-    bool ok = true;
-    decodeAddrMaps(bytes, &ok);
-    EXPECT_FALSE(ok) << "unknown versions must be a decode error";
+    EXPECT_TRUE(rejected(bytes)) << "unknown versions must be a decode error";
 }
 
 TEST(BbAddrMap, UnknownFeatureBitsRejected)
@@ -294,9 +317,8 @@ TEST(BbAddrMap, UnknownFeatureBitsRejected)
     encodeUleb128(2, bytes);
     encodeUleb128(kAddrMapKnownFeatures | 0x8, bytes);
     encodeUleb128(0, bytes);
-    bool ok = true;
-    decodeAddrMaps(bytes, &ok);
-    EXPECT_FALSE(ok) << "unknown feature bits must be a decode error";
+    EXPECT_TRUE(rejected(bytes))
+        << "unknown feature bits must be a decode error";
 }
 
 ObjectFile
@@ -317,10 +339,11 @@ sampleObject()
     obj.symbols.push_back({"f", 0, SymbolKind::Function, "f"});
     obj.symbols.push_back({"h", 1, SymbolKind::Function, "h"});
 
-    FunctionAddrMap map;
-    map.functionName = "f";
-    map.ranges.push_back({"f", {{0, 0, 8, 0}, {3, 8, 13, kBbReturns}}});
-    obj.addrMaps.push_back(map);
+    Section bam;
+    bam.name = ".bb_addr_map";
+    bam.type = SectionType::BbAddrMap;
+    bam.bytes = encodeAddrMaps(mapsWithStaleMetadata());
+    obj.sections.push_back(bam);
 
     obj.frames.push_back({"f", 21, 3});
     obj.integrityCheckedFunctions.push_back("f");
@@ -330,7 +353,8 @@ sampleObject()
 TEST(Serialize, RoundtripPreservesEverything)
 {
     ObjectFile obj = sampleObject();
-    ObjectFile copy = ObjectFile::deserialize(obj.serialize());
+    const std::vector<uint8_t> bytes = obj.serialize();
+    ObjectFile copy = ObjectFile::deserialize(bytes);
 
     EXPECT_EQ(copy.name, obj.name);
     ASSERT_EQ(copy.sections.size(), obj.sections.size());
@@ -345,10 +369,25 @@ TEST(Serialize, RoundtripPreservesEverything)
     EXPECT_EQ(copy.sections[0].pieces[1].site->bias, 77);
     ASSERT_EQ(copy.symbols.size(), 2u);
     EXPECT_EQ(copy.symbols[1].parentFunction, "h");
-    EXPECT_EQ(copy.addrMaps, obj.addrMaps);
     ASSERT_EQ(copy.frames.size(), 1u);
     EXPECT_EQ(copy.frames[0].savedRegs, 3);
     EXPECT_EQ(copy.integrityCheckedFunctions, obj.integrityCheckedFunctions);
+
+    // The address maps survive as the .bb_addr_map section's bytes...
+    const int bam = obj.findSection(".bb_addr_map");
+    ASSERT_GE(bam, 0);
+    const std::vector<uint8_t> &maps = obj.sections[bam].bytes;
+    EXPECT_EQ(copy.sections[bam].bytes, maps);
+    EXPECT_EQ(decoded(copy.sections[bam].bytes), mapsWithStaleMetadata());
+
+    // ...which are their only copy: dropping the section shrinks the
+    // serialized object by the section's record (name, type, alignment,
+    // hand-asm flag, length-prefixed bytes, empty piece list) alone.
+    ObjectFile stripped = obj;
+    stripped.sections.erase(stripped.sections.begin() + bam);
+    const uint64_t record = uleb128Size(12) + 12 + 1 + 1 + 1 +
+                            uleb128Size(maps.size()) + maps.size() + 1;
+    EXPECT_EQ(bytes.size(), stripped.serialize().size() + record);
 }
 
 TEST(Serialize, ContentHashStableAndSensitive)

@@ -723,8 +723,12 @@ TEST(LinkerTypedErrors, HugeBlockIdInValidMapLinksAndAnnotates)
             piece.block->bbId = kHugeId;
     }
     ASSERT_GT(retargeted, 0u);
+    std::vector<uint8_t> &map_bytes =
+        obj.sections[obj.findSection(".bb_addr_map")].bytes;
+    auto maps = elf::decodeAddrMapsChecked(map_bytes);
+    ASSERT_TRUE(maps.ok());
     uint64_t want_hash = 0;
-    for (auto &map : obj.addrMaps) {
+    for (auto &map : *maps) {
         if (map.functionName != "work")
             continue;
         for (auto &range : map.ranges) {
@@ -733,16 +737,13 @@ TEST(LinkerTypedErrors, HugeBlockIdInValidMapLinksAndAnnotates)
                     bb.bbId = kHugeId;
                     want_hash = bb.hash;
                 }
-                for (auto &succ : bb.succs) {
-                    if (succ == old_id)
-                        succ = kHugeId;
-                }
             }
         }
+        std::replace(map.succIds.begin(), map.succIds.end(), old_id,
+                     kHugeId);
     }
     ASSERT_NE(want_hash, 0u);
-    obj.sections[obj.findSection(".bb_addr_map")].bytes =
-        elf::encodeAddrMaps(obj.addrMaps);
+    map_bytes = elf::encodeAddrMaps(*maps);
 
     linker::Options opts;
     opts.entrySymbol = "main";
@@ -761,7 +762,7 @@ TEST(LinkerTypedErrors, HugeBlockIdInValidMapLinksAndAnnotates)
                 EXPECT_EQ(map.function, "work");
                 huge = &block;
             }
-            for (uint32_t succ : block.succs)
+            for (uint32_t succ : map.successors(block))
                 preds += succ == kHugeId;
         }
     }

@@ -42,15 +42,43 @@ fleetConfig(uint64_t seed = 47)
     return cfg;
 }
 
+/**
+ * A test's cache image file: removed when the guard is made (a leftover
+ * of an interrupted run) and again when the test ends, with the
+ * temporary an atomic write may leave beside it.
+ */
+class ScopedImage
+{
+  public:
+    explicit ScopedImage(std::string path) : path_(std::move(path))
+    {
+        remove();
+    }
+    ~ScopedImage() { remove(); }
+    ScopedImage(const ScopedImage &) = delete;
+    ScopedImage &operator=(const ScopedImage &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    void
+    remove() const
+    {
+        std::remove(path_.c_str());
+        std::remove((path_ + ".tmp").c_str());
+    }
+
+    std::string path_;
+};
+
 fleet::FleetOptions
-fleetOptions(const std::string &cache, uint64_t seed = 47)
+fleetOptions(const ScopedImage &image, uint64_t seed = 47)
 {
     fleet::FleetOptions fo;
     fo.base = fleetConfig(seed);
     fo.machines = 4;
     fo.versions = 3;
-    fo.cachePath = cache;
-    std::remove(cache.c_str());
+    fo.cachePath = image.path();
     return fo;
 }
 
@@ -146,10 +174,12 @@ TEST(ShardVersions, MixedVersionShardSetIsDiagnosedPerShard)
 
 TEST(FleetService, DeterministicAcrossArrivalOrderAndThreads)
 {
-    fleet::FleetOptions a = fleetOptions("test_fleet_det_a.cache");
+    ScopedImage image_a("test_fleet_det_a.cache");
+    fleet::FleetOptions a = fleetOptions(image_a);
     a.base.jobs = 1;
     a.arrivalShuffleSeed = 0;
-    fleet::FleetOptions b = fleetOptions("test_fleet_det_b.cache");
+    ScopedImage image_b("test_fleet_det_b.cache");
+    fleet::FleetOptions b = fleetOptions(image_b);
     b.base.jobs = 8;
     b.arrivalShuffleSeed = 0xfeedface;
 
@@ -187,8 +217,8 @@ TEST(FleetService, RelinkFiresIffMetricCrossesThreshold)
     const double thresholds[] = {0.02, 0.25};
     for (uint64_t seed = 101; seed <= 105; ++seed) {
         for (double threshold : thresholds) {
-            fleet::FleetOptions fo =
-                fleetOptions("test_fleet_trigger.cache", seed);
+            ScopedImage image("test_fleet_trigger.cache");
+            fleet::FleetOptions fo = fleetOptions(image, seed);
             fo.driftThreshold = threshold;
             fleet::FleetService svc(std::move(fo));
             svc.run(4);
@@ -217,12 +247,11 @@ TEST(FleetService, RelinkFiresIffMetricCrossesThreshold)
 TEST(FleetWorkflow, PrimedDigestHitAfterLayoutNeutralEdit)
 {
     workload::WorkloadConfig cfg = fleetConfig();
-    const char *cache = "test_fleet_prime.cache";
-    std::remove(cache);
+    ScopedImage image("test_fleet_prime.cache");
 
     buildsys::Workflow cold(cfg);
     cold.propellerBinary();
-    ASSERT_TRUE(cold.saveCacheFile(cache));
+    ASSERT_TRUE(cold.saveCacheFile(image.path()));
     ASSERT_FALSE(cold.wpa().hotFunctions.empty());
 
     // Edit a Work immediate in a sampled function: the function hash
@@ -253,7 +282,7 @@ TEST(FleetWorkflow, PrimedDigestHitAfterLayoutNeutralEdit)
 
     buildsys::Workflow warm(cfg);
     warm.overrideProgram(std::move(edited));
-    ASSERT_TRUE(warm.loadCacheFile(cache));
+    ASSERT_TRUE(warm.loadCacheFile(image.path()));
     warm.setLayoutPrimeFunctions({victim});
     warm.propellerBinary();
 
@@ -266,21 +295,17 @@ TEST(FleetWorkflow, PrimedDigestHitAfterLayoutNeutralEdit)
 
 TEST(FleetService, RestartedServiceRelinksFullyWarm)
 {
-    const char *cache = "test_fleet_restart.cache";
+    ScopedImage image("test_fleet_restart.cache");
     {
-        fleet::FleetService first(fleetOptions(cache));
+        fleet::FleetService first(fleetOptions(image));
         first.run(1); // Epoch 0's metric is 1.0: always relinks.
         ASSERT_EQ(first.relinks().size(), 1u);
         EXPECT_FALSE(first.relinks()[0].cacheLoaded);
         EXPECT_GT(first.relinks()[0].layoutMisses, 0u);
     }
 
-    fleet::FleetOptions fo;
-    fo.base = fleetConfig();
-    fo.machines = 4;
-    fo.versions = 3;
-    fo.cachePath = cache; // Deliberately not removed: the restart image.
-    fleet::FleetService second(std::move(fo));
+    // Same image, not removed in between: the restart image.
+    fleet::FleetService second(fleetOptions(image));
     second.run(1);
     ASSERT_EQ(second.relinks().size(), 1u);
     const fleet::RelinkRecord &r = second.relinks()[0];
@@ -294,7 +319,8 @@ TEST(FleetService, RestartedServiceRelinksFullyWarm)
 
 TEST(FleetService, ForcedRelinkIsFlaggedAndExcludedFromCrossings)
 {
-    fleet::FleetOptions fo = fleetOptions("test_fleet_forced.cache");
+    ScopedImage image("test_fleet_forced.cache");
+    fleet::FleetOptions fo = fleetOptions(image);
     fo.driftThreshold = 2.0; // Unreachable: no triggered relinks.
     fleet::FleetService svc(std::move(fo));
     svc.run(2);
@@ -309,7 +335,8 @@ TEST(FleetService, ForcedRelinkIsFlaggedAndExcludedFromCrossings)
 
 TEST(FleetService, StatuszRendersHistoryAndRelinks)
 {
-    fleet::FleetOptions fo = fleetOptions("test_fleet_statusz.cache");
+    ScopedImage image("test_fleet_statusz.cache");
+    fleet::FleetOptions fo = fleetOptions(image);
     fleet::FleetService svc(std::move(fo));
     svc.run(3);
 
@@ -366,7 +393,8 @@ TEST(DecayedAggregate, AddAtFoldsIntoEmissionSlotAndRejectsExpired)
 
 TEST(FleetService, ChaosFreeTransportIsQuiet)
 {
-    fleet::FleetOptions fo = fleetOptions("test_fleet_quiet.cache");
+    ScopedImage image("test_fleet_quiet.cache");
+    fleet::FleetOptions fo = fleetOptions(image);
     fleet::FleetService svc(std::move(fo));
     svc.run(4);
 
@@ -397,7 +425,8 @@ TEST(FleetService, ChaosFreeTransportIsQuiet)
 
 TEST(FleetChaos, DetectionMatchesInjectionPerFaultClass)
 {
-    fleet::FleetOptions fo = fleetOptions("test_fleet_chaos_det.cache");
+    ScopedImage image("test_fleet_chaos_det.cache");
+    fleet::FleetOptions fo = fleetOptions(image);
     fo.shardSamples = 8; // Multi-shard batches: real drop-able streams.
     const uint32_t decayWindow = fo.decayWindow;
 
@@ -490,7 +519,8 @@ TEST(FleetChaos, PostChaosRelinkConvergesToChaosFreeBytes)
     spec.chaosEndEpoch = 1;
     faultinject::ChaosSchedule chaos(spec);
 
-    fleet::FleetOptions a = fleetOptions("test_fleet_conv_a.cache");
+    ScopedImage image_a("test_fleet_conv_a.cache");
+    fleet::FleetOptions a = fleetOptions(image_a);
     a.shardSamples = 8;
     const uint32_t epochs = spec.chaosEndEpoch + 1 + a.decayWindow;
     fleet::FleetService chaotic(std::move(a));
@@ -498,7 +528,8 @@ TEST(FleetChaos, PostChaosRelinkConvergesToChaosFreeBytes)
     chaotic.run(epochs);
     chaotic.relinkNow();
 
-    fleet::FleetOptions b = fleetOptions("test_fleet_conv_b.cache");
+    ScopedImage image_b("test_fleet_conv_b.cache");
+    fleet::FleetOptions b = fleetOptions(image_b);
     b.shardSamples = 8;
     fleet::FleetService clean(std::move(b));
     clean.run(epochs);
@@ -538,7 +569,8 @@ class CountedFailHooks : public fleet::FleetChaosHooks
 
 TEST(FleetChaos, QuarantineServesLastGoodThenRecovers)
 {
-    fleet::FleetOptions fo = fleetOptions("test_fleet_rollback.cache");
+    ScopedImage image("test_fleet_rollback.cache");
+    fleet::FleetOptions fo = fleetOptions(image);
     fo.driftThreshold = 2.0; // Only forced relinks fire.
     const uint32_t retries = fo.maxRelinkRetries;
     fleet::FleetService svc(std::move(fo));
@@ -591,7 +623,8 @@ TEST(FleetChaos, QuarantineServesLastGoodThenRecovers)
 
 TEST(FleetService, CanaryAddTargetRetireRollsBackCleanly)
 {
-    fleet::FleetOptions fo = fleetOptions("test_fleet_canary.cache");
+    ScopedImage image("test_fleet_canary.cache");
+    fleet::FleetOptions fo = fleetOptions(image);
     fo.releaseEpoch = 1;
     fleet::FleetService svc(std::move(fo));
     const uint32_t baseVersions = svc.versionCount();
@@ -629,8 +662,8 @@ TEST(FleetService, CanaryAddTargetRetireRollsBackCleanly)
 
     // The program recipe for runtime-added versions is reproducible: a
     // metadata link of the replayed program is the canary's binary.
-    const fleet::FleetOptions replay_opts =
-        fleetOptions("test_fleet_canary2.cache");
+    ScopedImage replay_image("test_fleet_canary2.cache");
+    const fleet::FleetOptions replay_opts = fleetOptions(replay_image);
     buildsys::Workflow replay(replay_opts.base);
     replay.overrideProgram(fleet::makeVersionProgram(replay_opts, canary));
     EXPECT_EQ(replay.metadataBinary().identityHash,
@@ -661,7 +694,8 @@ TEST(FleetDrift, TotalVariationHelperProperties)
 
 TEST(FleetStatusz, JsonCarriesChaosAndRollbackKeys)
 {
-    fleet::FleetOptions fo = fleetOptions("test_fleet_szkeys.cache");
+    ScopedImage image("test_fleet_szkeys.cache");
+    fleet::FleetOptions fo = fleetOptions(image);
     fleet::FleetService svc(std::move(fo));
     svc.run(2);
 
@@ -698,7 +732,8 @@ TEST(FleetStatusz, JsonCarriesChaosAndRollbackKeys)
 
 TEST(FleetStatusz, WriteFileReportsTypedPathErrors)
 {
-    fleet::FleetOptions fo = fleetOptions("test_fleet_szfile.cache");
+    ScopedImage image("test_fleet_szfile.cache");
+    fleet::FleetOptions fo = fleetOptions(image);
     fleet::FleetService svc(std::move(fo));
     svc.run(1);
 

@@ -313,28 +313,10 @@ TEST(Linker, DeterministicOutput)
 // every path shows only here.  The expected values were computed with
 // the map-keyed linker that the flat-array linker replaced.
 
-class Digest
-{
-  public:
-    void add(uint64_t v) { h_ = hashCombine(h_, v); }
-
-    void
-    add(const std::string &s)
-    {
-        add(s.size());
-        h_ = fnv1a(s, h_);
-    }
-
-    uint64_t value() const { return h_; }
-
-  private:
-    uint64_t h_ = kFnvOffset;
-};
-
 uint64_t
 linkDigest(const Executable &exe, const LinkStats &stats)
 {
-    Digest d;
+    test::Digest d;
     d.add(exe.name);
     d.add(exe.textBase);
     d.add(exe.entryAddress);
@@ -362,8 +344,8 @@ linkDigest(const Executable &exe, const LinkStats &stats)
             d.add(block.size);
             d.add(block.flags);
             d.add(block.hash);
-            d.add(block.succs.size());
-            for (uint32_t succ : block.succs)
+            d.add(block.succCount);
+            for (uint32_t succ : map.successors(block))
                 d.add(succ);
         }
     }
@@ -444,7 +426,7 @@ goldenLinks(const workload::WorkloadConfig &cfg, bool debug_info)
     bool has_succs = false, has_hash = false;
     for (const auto &map : pm.bbAddrMap) {
         for (const auto &block : map.blocks) {
-            has_succs |= !block.succs.empty();
+            has_succs |= block.succCount != 0;
             has_hash |= block.hash != 0;
         }
     }

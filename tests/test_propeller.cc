@@ -127,6 +127,194 @@ TEST(AddrMapIndex, FindFunctionMatchesFunctionNames)
     EXPECT_EQ(index.findFunction("work"), -1);
 }
 
+// ---- Golden index answers ----------------------------------------------
+//
+// One digest over every answer the index gives for an executable: each
+// lookup, range walk, block, successor and name query, the quarantine
+// list and the modelled footprint.  A change to how the index is built
+// must leave all of them unchanged.  The expected values were computed
+// with the index that scanned for block ids and kept a hash map of
+// successor vectors per function.
+
+void
+addRef(test::Digest &d, const std::optional<BlockRef> &ref)
+{
+    d.add(ref.has_value() ? 1 : 0);
+    if (!ref)
+        return;
+    d.add(ref->funcIndex);
+    d.add(ref->bbId);
+    d.add(ref->blockStart);
+    d.add(ref->blockEnd);
+    d.add(ref->flags);
+    d.add(ref->hash);
+    d.add(ref->intervalIndex);
+}
+
+uint64_t
+indexDigest(const linker::Executable &exe)
+{
+    const AddrMapIndex index(exe);
+
+    // Probes: every block's start, last byte and first byte past its
+    // end (a gap or the next block), the text image's edges, and block
+    // ids and names no map holds.
+    std::vector<uint64_t> probes = {0, exe.textBase, exe.textEnd(),
+                                    exe.textEnd() - 1, UINT64_MAX};
+    std::vector<uint32_t> ids = {99, 0xFFFFFFF0u, 0xFFFFFFFFu};
+    std::vector<std::string> names = {"", "no_such_function"};
+    for (const auto &map : exe.bbAddrMap) {
+        names.push_back(map.function);
+        for (const auto &block : map.blocks) {
+            probes.push_back(block.address);
+            probes.push_back(block.address + block.size - 1);
+            probes.push_back(block.address + block.size);
+            ids.push_back(block.bbId);
+        }
+    }
+    std::sort(probes.begin(), probes.end());
+    probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+
+    test::Digest d;
+    for (uint64_t addr : probes)
+        addRef(d, index.lookup(addr));
+
+    const std::vector<std::string> &functions = index.functionNames();
+    d.add(functions.size());
+    for (uint32_t f = 0; f < functions.size(); ++f) {
+        d.add(functions[f]);
+        d.add(index.entryBlock(f));
+        d.add(index.functionHash(f));
+        const std::vector<BlockRef> blocks = index.blocksOf(f);
+        d.add(blocks.size());
+        for (const BlockRef &ref : blocks) {
+            addRef(d, ref);
+            addRef(d, index.next(ref));
+        }
+        for (uint32_t id : ids) {
+            addRef(d, index.block(f, id));
+            const std::span<const uint32_t> succs = index.successors(f, id);
+            d.add(succs.size());
+            for (uint32_t s : succs)
+                d.add(s);
+        }
+    }
+    for (const std::string &name : names)
+        d.add(static_cast<uint64_t>(index.findFunction(name)));
+    d.add(index.quarantined().size());
+    for (const std::string &name : index.quarantined())
+        d.add(name);
+    d.add(index.blockCount());
+    d.add(index.footprint());
+    return d.value();
+}
+
+/** A small-config workflow shared by the golden tests. */
+buildsys::Workflow &
+goldenWorkflow()
+{
+    static buildsys::Workflow wf(test::smallConfig(47));
+    return wf;
+}
+
+TEST(AddrMapIndexGolden, SmallMetadataBinary)
+{
+    EXPECT_EQ(indexDigest(goldenWorkflow().metadataBinary()),
+              0x99f014a519042fc5ull);
+}
+
+TEST(AddrMapIndexGolden, VerifyImageInLdProfOrder)
+{
+    const linker::Executable &exe = goldenWorkflow().verifiedBinary();
+    // Maps follow the ld_prof section order, so the blocks do not
+    // arrive in address order and the index must sort them.
+    std::vector<uint64_t> addrs;
+    for (const auto &map : exe.bbAddrMap)
+        for (const auto &block : map.blocks)
+            addrs.push_back(block.address);
+    EXPECT_FALSE(std::is_sorted(addrs.begin(), addrs.end()));
+    EXPECT_EQ(indexDigest(exe), 0x97864c9b6d2582f7ull);
+}
+
+TEST(AddrMapIndexGolden, HandBuiltEdgeCases)
+{
+    // Text at address 0, so a size that wraps past 2^64 lands inside
+    // the image and only the wrap check rejects it.
+    linker::Executable exe;
+    exe.textBase = 0;
+    exe.text.assign(0x400, 0);
+    auto map = [&](const std::string &name, uint64_t hash) {
+        exe.bbAddrMap.push_back(linker::ExecFuncMap{name, {}, hash, {}});
+        return exe.bbAddrMap.size() - 1;
+    };
+    auto block = [&](size_t m, uint32_t id, uint64_t addr, uint32_t size,
+                     std::vector<uint32_t> succs = {}, uint8_t flags = 0) {
+        exe.bbAddrMap[m].addBlock({.bbId = id,
+                                   .address = addr,
+                                   .size = size,
+                                   .flags = flags,
+                                   .hash = hashCombine(addr, id)},
+                                  succs);
+    };
+    auto symbol = [&](const std::string &name, const std::string &parent,
+                      uint64_t start, bool primary) {
+        exe.symbols.push_back({name, parent, start, start + 8, primary});
+    };
+
+    // One function split over two maps: the first map's hash is the
+    // function's.
+    size_t split = map("split", 0x51);
+    block(split, 0, 0x100, 8, {2, 1}, elf::kBbFallThrough);
+    block(split, 2, 0x108, 4, {}, elf::kBbReturns);
+    size_t dup = map("dup", 0x52); // Repeated block id.
+    block(dup, 1, 0x120, 4, {1});
+    block(dup, 1, 0x124, 4);
+    size_t overlap = map("overlap", 0x53);
+    block(overlap, 0, 0x130, 8);
+    block(overlap, 1, 0x134, 8);
+    size_t outside = map("outside", 0x54); // Ends past the text image.
+    block(outside, 0, 0x3f8, 0x10);
+    size_t wraps = map("wraps", 0x55);
+    block(wraps, 0, 0xfffffffffffffff8ull, 0x10);
+    map("empty", 0x56);
+    // "after" starts where "zero" ends with a zero-size block, and its
+    // map comes first: the tie keeps map order.  Block 5 is past the
+    // function's block count.
+    size_t after = map("after", 0x57);
+    block(after, 0, 0x208, 8, {5});
+    block(after, 5, 0x210, 0, {}, elf::kBbReturns);
+    // Zero-size blocks sharing an address, in map order.
+    size_t zero = map("zero", 0x58);
+    block(zero, 0, 0x200, 0, {1}, elf::kBbFallThrough);
+    block(zero, 1, 0x200, 0, {2}, elf::kBbFallThrough);
+    block(zero, 2, 0x200, 6, {3, 4});
+    block(zero, 3, 0x206, 2, {4}, elf::kBbLandingPad);
+    block(zero, 4, 0x208, 0);
+    size_t huge = map("huge", 0x59);
+    block(huge, 0xFFFFFFF0u, 0x240, 4, {0});
+    block(huge, 0, 0x244, 4, {0xFFFFFFF0u, 0});
+    size_t split_b = map("split", 0x5a);
+    block(split_b, 1, 0x300, 8, {3});
+    block(split_b, 3, 0x308, 0);
+
+    symbol("split", "split", 0x100, true);
+    symbol("split.cold", "split", 0x300, false);
+    symbol("split.mid", "split", 0x104, true); // Starts no block.
+    symbol("dup", "dup", 0x120, true);
+    symbol("zero", "zero", 0x200, true);
+    symbol("after", "after", 0x208, true);
+    symbol("huge", "huge", 0x240, true);
+    symbol("ghost", "ghost", 0x380, true);
+
+    AddrMapIndex index(exe);
+    EXPECT_EQ(index.quarantined(),
+              (std::vector<std::string>{"dup", "outside", "overlap",
+                                        "wraps"}));
+    EXPECT_EQ(indexDigest(exe), 0xcf2e5b7185e82f2dull);
+}
+
 TEST(ProfileMapper, RecoversGroundTruthEdges)
 {
     linker::Executable exe = metadataTiny();

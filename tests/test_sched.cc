@@ -327,11 +327,17 @@ runRandomDag(uint64_t seed, unsigned threads)
                     v = mix64(v, value[d]);
                 value[i] = v;
                 sink.submit(i, [&transcript, i, v] {
-                    transcript += "task " + std::to_string(i) + " -> " +
-                                  std::to_string(v % 997) + "\n";
+                    // Appends, not "literal" + std::string: GCC 12 at -O3
+                    // reports a false -Wrestrict overlap inside the
+                    // inlined insert-at-front of that operator+.
+                    transcript += "task ";
+                    transcript += std::to_string(i);
+                    transcript += " -> ";
+                    transcript += std::to_string(v % 997);
+                    transcript += '\n';
                 });
             },
-            {"t" + std::to_string(i), "prop",
+            {std::string("t").append(std::to_string(i)), "prop",
              0.001 * static_cast<double>(h % 100)});
         for (size_t d : deps)
             g.addEdge(ids[d], ids[i]);

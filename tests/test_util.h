@@ -5,7 +5,8 @@
  * @file
  * Shared helpers for the test suite: tiny hand-built IR programs, a
  * small synthetic workload config that keeps tests fast, a
- * field-by-field comparison of linked images, and journal framing.
+ * field-by-field comparison of linked images, a golden-value digest and
+ * journal framing.
  */
 
 #include <gtest/gtest.h>
@@ -18,9 +19,29 @@
 #include "build/journal.h"
 #include "ir/ir.h"
 #include "linker/executable.h"
+#include "support/hash.h"
 #include "workload/workload.h"
 
 namespace propeller::test {
+
+/** One digest over a stream of fields, for golden-value tests. */
+class Digest
+{
+  public:
+    void add(uint64_t v) { h_ = hashCombine(h_, v); }
+
+    void
+    add(const std::string &s)
+    {
+        add(s.size());
+        h_ = fnv1a(s, h_);
+    }
+
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_ = kFnvOffset;
+};
 
 /** A small but structurally complete workload (fast to build and run). */
 inline workload::WorkloadConfig
@@ -141,7 +162,9 @@ expectSameImage(const linker::Executable &a, const linker::Executable &b,
             const linker::ExecBlock &q = y.blocks[k];
             EXPECT_TRUE(p.bbId == q.bbId && p.address == q.address &&
                         p.size == q.size && p.flags == q.flags &&
-                        p.hash == q.hash && p.succs == q.succs)
+                        p.hash == q.hash &&
+                        std::ranges::equal(x.successors(p),
+                                           y.successors(q)))
                 << what << ": " << x.function << " bb" << p.bbId;
         }
     }

@@ -597,8 +597,8 @@ injectDefect(DefectClass cls, uint64_t seed, const MutationTarget &target)
       case DefectClass::FlowAnomaly:
         return target.dcfg
                    ? injectFlowAnomaly(*target.dcfg, rng,
-                                       VerifyOptions{}.flowTolerance,
-                                       VerifyOptions{}.flowMinWeight)
+                                       VerifyOptions::flowTolerance,
+                                       VerifyOptions::flowMinWeight)
                    : "";
     }
     return "";

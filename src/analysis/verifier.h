@@ -57,10 +57,10 @@ struct VerifyOptions
     std::set<std::string> exemptFunctions;
 
     /** PV016: flag |in|/|out| imbalance beyond this factor... */
-    double flowTolerance = 8.0;
+    static constexpr double flowTolerance = 8.0;
 
     /** ...when the larger side is at least this heavy. */
-    uint64_t flowMinWeight = 256;
+    static constexpr uint64_t flowMinWeight = 256;
 };
 
 /** Outcome of one verification pass. */

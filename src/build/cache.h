@@ -41,12 +41,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "support/bytes.h"
 #include "support/hash.h"
 
 namespace propeller::buildsys {
@@ -327,11 +327,11 @@ class ArtifactCache
         out.resize(headroom);
         for (char c : kImageMagic)
             out.push_back(static_cast<uint8_t>(c));
-        putU64(out, entries_.size());
-        putU64(out, layoutEntries_.size());
+        putLe64(entries_.size(), out);
+        putLe64(layoutEntries_.size(), out);
         tierSerialize(entries_, out);
         tierSerialize(layoutEntries_, out);
-        putU64(out, xxh64(out.data() + headroom, out.size() - headroom));
+        putLe64(xxh64(out.data() + headroom, out.size() - headroom), out);
         return out;
     }
 
@@ -351,26 +351,18 @@ class ArtifactCache
         layoutAlias_.clear();
         stats_ = CacheStats{};
         layoutStats_ = CacheStats{};
-        if (data.size() < kImageHeaderBytes + 8 ||
-            std::memcmp(data.data(), kImageMagic, sizeof kImageMagic) != 0)
-            return false;
-        size_t tail = data.size() - 8;
-        size_t pos = tail;
+        ByteReader in(data);
         uint64_t footer = 0;
-        if (!getU64(data, data.size(), pos, footer) ||
-            xxh64(data.data(), tail) != footer)
-            return false;
-        pos = sizeof kImageMagic;
         uint64_t nObjects = 0;
         uint64_t nLayouts = 0;
-        if (!getU64(data, tail, pos, nObjects) ||
-            !getU64(data, tail, pos, nLayouts))
+        if (!in.magic({kImageMagic, sizeof kImageMagic}) ||
+            !in.footer(footer) ||
+            xxh64(data.data(), data.size() - 8) != footer ||
+            !in.le64(nObjects) || !in.le64(nLayouts))
             return false;
-        if (!tierDeserialize(data, tail, pos, nObjects, entries_,
-                             stats_) ||
-            !tierDeserialize(data, tail, pos, nLayouts, layoutEntries_,
-                             layoutStats_) ||
-            pos != tail) {
+        if (!tierDeserialize(in, nObjects, entries_, stats_) ||
+            !tierDeserialize(in, nLayouts, layoutEntries_, layoutStats_) ||
+            !in.done()) {
             entries_.clear();
             layoutEntries_.clear();
             stats_ = CacheStats{};
@@ -484,26 +476,6 @@ class ArtifactCache
         return out;
     }
 
-    static void
-    putU64(std::vector<uint8_t> &out, uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    static bool
-    getU64(std::span<const uint8_t> in, size_t limit, size_t &pos,
-           uint64_t &v)
-    {
-        if (pos + 8 > limit)
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(in[pos + i]) << (8 * i);
-        pos += 8;
-        return true;
-    }
-
     /** Image bytes of one tier: a 32-byte record header per entry. */
     static size_t
     tierImageBytes(const EntryMap &map)
@@ -519,18 +491,17 @@ class ArtifactCache
     {
         for (uint64_t key : tierKeys(map)) {
             const Entry &entry = map.at(key);
-            putU64(out, key);
-            putU64(out, entry.digest);
-            putU64(out, entry.hash);
-            putU64(out, entry.bytes.size());
+            putLe64(key, out);
+            putLe64(entry.digest, out);
+            putLe64(entry.hash, out);
+            putLe64(entry.bytes.size(), out);
             out.insert(out.end(), entry.bytes.begin(),
                        entry.bytes.end());
         }
     }
 
     static bool
-    tierDeserialize(std::span<const uint8_t> data, size_t limit,
-                    size_t &pos, uint64_t count, EntryMap &map,
+    tierDeserialize(ByteReader &in, uint64_t count, EntryMap &map,
                     CacheStats &stats)
     {
         for (uint64_t i = 0; i < count; ++i) {
@@ -538,17 +509,13 @@ class ArtifactCache
             uint64_t digest = 0;
             uint64_t hash = 0;
             uint64_t size = 0;
-            if (!getU64(data, limit, pos, key) ||
-                !getU64(data, limit, pos, digest) ||
-                !getU64(data, limit, pos, hash) ||
-                !getU64(data, limit, pos, size) ||
-                size > limit - pos)
+            std::span<const uint8_t> bytes;
+            if (!in.le64(key) || !in.le64(digest) || !in.le64(hash) ||
+                !in.le64(size) || !in.bytes(size, bytes))
                 return false;
-            const uint8_t *bytes = data.data() + pos;
-            pos += size;
             // Keys are written once each; a repeated key is damage.
-            auto inserted =
-                map.emplace(key, Entry{{bytes, bytes + size}, hash, digest});
+            auto inserted = map.emplace(
+                key, Entry{{bytes.begin(), bytes.end()}, hash, digest});
             if (!inserted.second)
                 return false;
             stats.storedBytes += size;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "support/bytes.h"
 #include "support/check.h"
 #include "support/hash.h"
 
@@ -15,22 +16,6 @@ namespace {
 
 constexpr char kMagic[4] = {'P', 'F', 'J', '2'};
 
-void
-putU64(uint8_t *out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-uint64_t
-getU64(const uint8_t *in)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(in[i]) << (8 * i);
-    return v;
-}
-
 } // namespace
 
 void
@@ -39,33 +24,29 @@ encodeJournal(uint64_t generation, std::vector<uint8_t> &buf)
     PROPELLER_CHECK(buf.size() >= kJournalHeaderBytes,
                     "journal buffer lacks its reserved header");
     std::memcpy(buf.data(), kMagic, sizeof kMagic);
-    putU64(buf.data() + 4, generation);
-    putU64(buf.data() + 12, buf.size() - kJournalHeaderBytes);
-    uint8_t footer[kJournalFooterBytes];
-    putU64(footer, xxh64(buf.data(), buf.size()));
-    buf.insert(buf.end(), footer, footer + kJournalFooterBytes);
+    putLe64(generation, buf.data() + 4);
+    putLe64(buf.size() - kJournalHeaderBytes, buf.data() + 12);
+    putLe64(xxh64(buf.data(), buf.size()), buf);
 }
 
 bool
 decodeJournal(std::span<const uint8_t> file, uint64_t *generation,
               std::span<const uint8_t> *payload)
 {
-    if (file.size() < kJournalHeaderBytes + kJournalFooterBytes ||
-        std::memcmp(file.data(), kMagic, sizeof kMagic) != 0)
-        return false;
-    uint64_t gen = getU64(file.data() + 4);
-    uint64_t size = getU64(file.data() + 12);
+    ByteReader in(file);
+    uint64_t gen = 0;
+    uint64_t size = 0;
+    uint64_t footer = 0;
     // The declared length must tile the file exactly: anything shorter
     // is a torn write, anything longer is trailing garbage.
-    if (size != file.size() - kJournalHeaderBytes - kJournalFooterBytes)
-        return false;
-    size_t tail = file.size() - kJournalFooterBytes;
-    if (xxh64(file.data(), tail) != getU64(file.data() + tail))
+    if (!in.magic({kMagic, sizeof kMagic}) || !in.le64(gen) ||
+        !in.le64(size) || !in.footer(footer) || size != in.left() ||
+        xxh64(file.data(), file.size() - kJournalFooterBytes) != footer)
         return false;
     if (generation)
         *generation = gen;
     if (payload)
-        *payload = file.subspan(kJournalHeaderBytes, size);
+        *payload = {in.p, in.end};
     return true;
 }
 

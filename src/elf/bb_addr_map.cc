@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "support/bytes.h"
 #include "support/hash.h"
-#include "support/leb128.h"
 
 namespace propeller::elf {
 
@@ -36,81 +36,6 @@ namespace {
  *  0x00: a leading zero is a zero function count, which is only valid as
  *  the entire (one-byte) payload. */
 constexpr uint8_t kV2Escape = 0x00;
-
-void
-encodeString(const std::string &s, std::vector<uint8_t> &out)
-{
-    encodeUleb128(s.size(), out);
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-/** Append @p v as 8 little-endian bytes. */
-void
-put64(std::vector<uint8_t> &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-/** Read 8 little-endian bytes at @p p. */
-uint64_t
-get64(const uint8_t *p)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-/**
- * Field reader over [p, end).  Each read reports failure instead of
- * building a status, so the decoder names the field only on the error
- * path.
- */
-struct Cursor
-{
-    const uint8_t *p;
-    const uint8_t *end;
-
-    /** One ULEB128 field; false when truncated or wider than 64 bits. */
-    bool
-    uleb(uint64_t &out)
-    {
-        uint64_t v = 0;
-        unsigned shift = 0;
-        while (p < end) {
-            uint8_t byte = *p++;
-            if (shift >= 64)
-                return false;
-            v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-            if ((byte & 0x80) == 0) {
-                out = v;
-                return true;
-            }
-            shift += 7;
-        }
-        return false;
-    }
-
-    /** A length-prefixed string. */
-    bool
-    str(std::string &out)
-    {
-        uint64_t len = 0;
-        if (!uleb(len) || len > static_cast<uint64_t>(end - p))
-            return false;
-        out.assign(reinterpret_cast<const char *>(p), len);
-        p += len;
-        return true;
-    }
-
-    /** Bytes left; an upper bound on any count still to be decoded. */
-    uint64_t
-    left() const
-    {
-        return p < end ? static_cast<uint64_t>(end - p) : 0;
-    }
-};
 
 support::Status
 truncated(const char *what)
@@ -145,12 +70,12 @@ encodeAddrMaps(const std::vector<FunctionAddrMap> &maps,
     }
     encodeUleb128(maps.size(), out);
     for (const auto &map : maps) {
-        encodeString(map.functionName, out);
+        putString(map.functionName, out);
         if (features & kAddrMapFeatureHashes)
             encodeUleb128(map.functionHash, out);
         encodeUleb128(map.ranges.size(), out);
         for (const auto &range : map.ranges) {
-            encodeString(range.sectionSymbol, out);
+            putString(range.sectionSymbol, out);
             encodeUleb128(range.blocks.size(), out);
             uint64_t expected_offset =
                 range.blocks.empty() ? 0 : range.blocks.front().offset;
@@ -176,14 +101,14 @@ encodeAddrMaps(const std::vector<FunctionAddrMap> &maps,
     // v2 blobs end with a content checksum; v1 stays checksum-free so
     // legacy blobs round-trip byte-identically.
     if (version == AddrMapVersion::V2)
-        put64(out, fnv1a(out.data(), out.size()));
+        putLe64(fnv1a(out.data(), out.size()), out);
     return out;
 }
 
 StatusOr<std::vector<FunctionAddrMap>>
 decodeAddrMapsChecked(const std::vector<uint8_t> &data)
 {
-    Cursor in{data.data(), data.data() + data.size()};
+    ByteReader in(data);
     const uint8_t *payload_end = in.end;
     uint64_t features = 0;
     if (data.size() > 1 && data[0] == kV2Escape) {
@@ -194,9 +119,7 @@ decodeAddrMapsChecked(const std::vector<uint8_t> &data)
             return makeError(ErrorCode::kTruncated,
                              "v2 blob shorter than header + checksum");
         payload_end = in.end - 8;
-        uint64_t want = get64(payload_end);
-        uint64_t got = fnv1a(data.data(), data.size() - 8);
-        if (want != got)
+        if (getLe64(payload_end) != fnv1a(data.data(), data.size() - 8))
             return makeError(ErrorCode::kChecksumMismatch,
                              ".bb_addr_map content checksum does not "
                              "verify");
@@ -293,7 +216,7 @@ decodeAddrMapsChecked(const std::vector<uint8_t> &data)
             }
         }
     }
-    if (in.p != payload_end)
+    if (!in.done())
         return makeError(ErrorCode::kMalformed,
                          "trailing bytes after last function entry");
     return maps;

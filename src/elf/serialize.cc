@@ -1,6 +1,9 @@
 #include "elf/object.h"
+
+#include <algorithm>
+
+#include "support/bytes.h"
 #include "support/check.h"
-#include "support/leb128.h"
 #include "support/status.h"
 
 /**
@@ -20,121 +23,154 @@ namespace {
  *  instead of misread. */
 constexpr uint32_t kMagic = 0x0b1ec7f2;
 
-void
-putString(const std::string &s, std::vector<uint8_t> &out)
-{
-    encodeUleb128(s.size(), out);
-    out.insert(out.end(), s.begin(), s.end());
-}
+/** The error for a ULEB128 field that runs off the end. */
+constexpr const char *kTruncatedField = "truncated object file";
 
-void
-putBytes(const std::vector<uint8_t> &b, std::vector<uint8_t> &out)
+/** A run with a ULEB128 length in front: a length that runs off the end
+ *  is the object's truncation, a body that does is @p what. */
+template <typename Out>
+const char *
+readRun(ByteReader &in, Out &out, const char *what)
 {
-    encodeUleb128(b.size(), out);
-    out.insert(out.end(), b.begin(), b.end());
-}
-
-void
-putU64(uint64_t v, std::vector<uint8_t> &out)
-{
-    encodeUleb128(v, out);
+    uint64_t len = 0;
+    std::span<const uint8_t> run;
+    if (!in.uleb(len))
+        return kTruncatedField;
+    if (!in.bytes(len, run))
+        return what;
+    const auto *first =
+        reinterpret_cast<const typename Out::value_type *>(run.data());
+    out.assign(first, first + run.size());
+    return nullptr;
 }
 
 /**
- * Streaming reader over a byte vector.
- *
- * Malformed input latches an error instead of asserting; once failed,
- * every accessor returns a benign default so the decode loop can bail at
- * the next checkpoint without undefined behavior.
+ * Decode the fields after the magic into @p obj, in serialize() order.
+ * Returns the first failure's message, or an empty string.  A count
+ * above the input's @p size is damage; reservations are bounded by the
+ * bytes left.
  */
-class Reader
+std::string
+decodeFields(ByteReader &in, uint64_t size, ObjectFile &obj)
 {
-  public:
-    explicit Reader(const std::vector<uint8_t> &data) : data_(data) {}
+    const char *why = nullptr;
+    auto str = [&](std::string &out) {
+        why = readRun(in, out, "truncated string");
+        return why == nullptr;
+    };
+    auto bytes = [&](std::vector<uint8_t> &out) {
+        why = readRun(in, out, "truncated byte run");
+        return why == nullptr;
+    };
+    auto u8 = [&](uint8_t &out) {
+        if (!in.u8(out))
+            why = "truncated byte";
+        return why == nullptr;
+    };
+    auto u32 = [&](uint32_t &out) {
+        uint64_t v = 0;
+        if (!in.uleb(v))
+            why = kTruncatedField;
+        else
+            out = static_cast<uint32_t>(v);
+        return why == nullptr;
+    };
+    auto count = [&](uint64_t &n, const char *oversized) {
+        if (!in.uleb(n))
+            why = kTruncatedField;
+        else if (n > size)
+            why = oversized;
+        return why == nullptr;
+    };
 
-    uint64_t
-    u64()
-    {
-        if (failed())
-            return 0;
-        auto v = decodeUleb128(data_, pos_);
-        if (!v) {
-            fail("truncated object file");
-            return 0;
+    uint64_t n_sections = 0;
+    if (!str(obj.name) || !count(n_sections, "oversized section count"))
+        return why;
+    obj.sections.reserve(std::min(n_sections, in.left()));
+    for (uint64_t i = 0; i < n_sections; ++i) {
+        Section &sec = obj.sections.emplace_back();
+        uint8_t type = 0;
+        if (!str(sec.name) || !u8(type))
+            return why;
+        if (type > static_cast<uint8_t>(SectionType::Other))
+            return "invalid section type " + std::to_string(type);
+        sec.type = static_cast<SectionType>(type);
+        uint8_t hand_asm = 0;
+        uint64_t n_pieces = 0;
+        if (!u32(sec.alignment) || !u8(hand_asm) || !bytes(sec.bytes) ||
+            !count(n_pieces, "oversized piece count"))
+            return why;
+        sec.isHandAsm = hand_asm != 0;
+        sec.pieces.reserve(std::min(n_pieces, in.left()));
+        for (uint64_t p = 0; p < n_pieces; ++p) {
+            TextPiece &piece = sec.pieces.emplace_back();
+            uint8_t has_block = 0;
+            if (!u8(has_block))
+                return why;
+            if (has_block) {
+                BlockMark &mark = piece.block.emplace();
+                if (!u32(mark.bbId) || !u8(mark.flags))
+                    return why;
+            }
+            uint8_t has_site = 0;
+            if (!bytes(piece.bytes) || !u8(has_site))
+                return why;
+            if (!has_site)
+                continue;
+            BranchSite &bs = piece.site.emplace();
+            uint8_t op = 0;
+            if (!u8(op))
+                return why;
+            if (!isa::isValidOpcode(op))
+                return "invalid branch-site opcode " + std::to_string(op);
+            bs.op = static_cast<isa::Opcode>(op);
+            uint8_t fall_through = 0;
+            if (!u8(bs.flags) || !u8(bs.bias) || !u32(bs.branchId) ||
+                !str(bs.targetSymbol) || !u32(bs.targetBb) ||
+                !u8(fall_through))
+                return why;
+            bs.isFallThrough = fall_through != 0;
         }
-        return *v;
     }
 
-    /** u64 bounded by the payload size (guards reserve() calls). */
-    uint64_t
-    count(const char *what)
-    {
-        uint64_t n = u64();
-        if (!failed() && n > data_.size()) {
-            fail(what);
-            return 0;
-        }
-        return n;
+    uint64_t n_symbols = 0;
+    if (!count(n_symbols, "oversized symbol count"))
+        return why;
+    obj.symbols.reserve(std::min(n_symbols, in.left()));
+    for (uint64_t i = 0; i < n_symbols; ++i) {
+        Symbol &sym = obj.symbols.emplace_back();
+        uint8_t kind = 0;
+        if (!str(sym.name) || !u32(sym.sectionIndex) || !u8(kind))
+            return why;
+        if (kind > static_cast<uint8_t>(SymbolKind::Cluster))
+            return "invalid symbol kind " + std::to_string(kind);
+        sym.kind = static_cast<SymbolKind>(kind);
+        if (!str(sym.parentFunction))
+            return why;
     }
 
-    std::string
-    str()
-    {
-        uint64_t len = u64();
-        if (failed() || pos_ + len > data_.size()) {
-            fail("truncated string");
-            return {};
-        }
-        std::string s(data_.begin() + pos_, data_.begin() + pos_ + len);
-        pos_ += len;
-        return s;
+    uint64_t n_frames = 0;
+    if (!count(n_frames, "oversized frame count"))
+        return why;
+    obj.frames.reserve(std::min(n_frames, in.left()));
+    for (uint64_t i = 0; i < n_frames; ++i) {
+        FrameDescriptor &fde = obj.frames.emplace_back();
+        if (!str(fde.sectionSymbol) || !u32(fde.codeLength) ||
+            !u8(fde.savedRegs))
+            return why;
     }
 
-    std::vector<uint8_t>
-    bytes()
-    {
-        uint64_t len = u64();
-        if (failed() || pos_ + len > data_.size()) {
-            fail("truncated byte run");
-            return {};
-        }
-        std::vector<uint8_t> b(data_.begin() + pos_,
-                               data_.begin() + pos_ + len);
-        pos_ += len;
-        return b;
-    }
+    uint64_t n_checks = 0;
+    if (!count(n_checks, "oversized integrity-check count"))
+        return why;
+    for (uint64_t i = 0; i < n_checks; ++i)
+        if (!str(obj.integrityCheckedFunctions.emplace_back()))
+            return why;
 
-    uint8_t
-    u8()
-    {
-        if (failed())
-            return 0;
-        if (pos_ >= data_.size()) {
-            fail("truncated byte");
-            return 0;
-        }
-        return data_[pos_++];
-    }
-
-    void
-    fail(const std::string &why)
-    {
-        if (!failed_) {
-            failed_ = true;
-            error_ = why;
-        }
-    }
-
-    bool failed() const { return failed_; }
-    const std::string &error() const { return error_; }
-    bool done() const { return failed_ || pos_ == data_.size(); }
-
-  private:
-    const std::vector<uint8_t> &data_;
-    size_t pos_ = 0;
-    bool failed_ = false;
-    std::string error_;
-};
+    if (!u32(obj.debugRelocs))
+        return why;
+    return {};
+}
 
 } // namespace
 
@@ -142,21 +178,21 @@ std::vector<uint8_t>
 ObjectFile::serialize() const
 {
     std::vector<uint8_t> out;
-    putU64(kMagic, out);
+    encodeUleb128(kMagic, out);
     putString(name, out);
 
-    putU64(sections.size(), out);
+    encodeUleb128(sections.size(), out);
     for (const auto &sec : sections) {
         putString(sec.name, out);
         out.push_back(static_cast<uint8_t>(sec.type));
-        putU64(sec.alignment, out);
+        encodeUleb128(sec.alignment, out);
         out.push_back(sec.isHandAsm ? 1 : 0);
         putBytes(sec.bytes, out);
-        putU64(sec.pieces.size(), out);
+        encodeUleb128(sec.pieces.size(), out);
         for (const auto &piece : sec.pieces) {
             out.push_back(piece.block ? 1 : 0);
             if (piece.block) {
-                putU64(piece.block->bbId, out);
+                encodeUleb128(piece.block->bbId, out);
                 out.push_back(piece.block->flags);
             }
             putBytes(piece.bytes, out);
@@ -166,34 +202,34 @@ ObjectFile::serialize() const
                 out.push_back(static_cast<uint8_t>(bs.op));
                 out.push_back(bs.flags);
                 out.push_back(bs.bias);
-                putU64(bs.branchId, out);
+                encodeUleb128(bs.branchId, out);
                 putString(bs.targetSymbol, out);
-                putU64(bs.targetBb, out);
+                encodeUleb128(bs.targetBb, out);
                 out.push_back(bs.isFallThrough ? 1 : 0);
             }
         }
     }
 
-    putU64(symbols.size(), out);
+    encodeUleb128(symbols.size(), out);
     for (const auto &sym : symbols) {
         putString(sym.name, out);
-        putU64(sym.sectionIndex, out);
+        encodeUleb128(sym.sectionIndex, out);
         out.push_back(static_cast<uint8_t>(sym.kind));
         putString(sym.parentFunction, out);
     }
 
-    putU64(frames.size(), out);
+    encodeUleb128(frames.size(), out);
     for (const auto &fde : frames) {
         putString(fde.sectionSymbol, out);
-        putU64(fde.codeLength, out);
+        encodeUleb128(fde.codeLength, out);
         out.push_back(fde.savedRegs);
     }
 
-    putU64(integrityCheckedFunctions.size(), out);
+    encodeUleb128(integrityCheckedFunctions.size(), out);
     for (const auto &fn : integrityCheckedFunctions)
         putString(fn, out);
 
-    putU64(debugRelocs, out);
+    encodeUleb128(debugRelocs, out);
     return out;
 }
 
@@ -203,100 +239,19 @@ ObjectFile::deserializeChecked(const std::vector<uint8_t> &data)
     using support::ErrorCode;
     using support::makeError;
 
-    Reader r(data);
-    uint64_t magic = r.u64();
-    if (r.failed())
-        return makeError(ErrorCode::kTruncated, r.error());
+    ByteReader in(data);
+    uint64_t magic = 0;
+    if (!in.uleb(magic))
+        return makeError(ErrorCode::kTruncated, kTruncatedField);
     if (magic != kMagic)
         return makeError(ErrorCode::kMalformed, "bad object file magic");
 
     ObjectFile obj;
-    obj.name = r.str();
-
-    uint64_t n_sections = r.count("oversized section count");
-    obj.sections.reserve(n_sections);
-    for (uint64_t i = 0; i < n_sections && !r.failed(); ++i) {
-        Section sec;
-        sec.name = r.str();
-        uint8_t type = r.u8();
-        if (type > static_cast<uint8_t>(SectionType::Other)) {
-            r.fail("invalid section type " + std::to_string(type));
-            break;
-        }
-        sec.type = static_cast<SectionType>(type);
-        sec.alignment = static_cast<uint32_t>(r.u64());
-        sec.isHandAsm = r.u8() != 0;
-        sec.bytes = r.bytes();
-        uint64_t n_pieces = r.count("oversized piece count");
-        sec.pieces.reserve(n_pieces);
-        for (uint64_t p = 0; p < n_pieces && !r.failed(); ++p) {
-            TextPiece piece;
-            if (r.u8()) {
-                BlockMark mark;
-                mark.bbId = static_cast<uint32_t>(r.u64());
-                mark.flags = r.u8();
-                piece.block = mark;
-            }
-            piece.bytes = r.bytes();
-            if (r.u8()) {
-                BranchSite bs;
-                uint8_t op = r.u8();
-                if (!r.failed() && !isa::isValidOpcode(op)) {
-                    r.fail("invalid branch-site opcode " +
-                           std::to_string(op));
-                    break;
-                }
-                bs.op = static_cast<isa::Opcode>(op);
-                bs.flags = r.u8();
-                bs.bias = r.u8();
-                bs.branchId = static_cast<uint32_t>(r.u64());
-                bs.targetSymbol = r.str();
-                bs.targetBb = static_cast<uint32_t>(r.u64());
-                bs.isFallThrough = r.u8() != 0;
-                piece.site = std::move(bs);
-            }
-            sec.pieces.push_back(std::move(piece));
-        }
-        obj.sections.push_back(std::move(sec));
-    }
-
-    uint64_t n_symbols = r.count("oversized symbol count");
-    obj.symbols.reserve(n_symbols);
-    for (uint64_t i = 0; i < n_symbols && !r.failed(); ++i) {
-        Symbol sym;
-        sym.name = r.str();
-        sym.sectionIndex = static_cast<uint32_t>(r.u64());
-        uint8_t kind = r.u8();
-        if (!r.failed() && kind > static_cast<uint8_t>(SymbolKind::Cluster)) {
-            r.fail("invalid symbol kind " + std::to_string(kind));
-            break;
-        }
-        sym.kind = static_cast<SymbolKind>(kind);
-        sym.parentFunction = r.str();
-        obj.symbols.push_back(std::move(sym));
-    }
-
-    uint64_t n_frames = r.count("oversized frame count");
-    obj.frames.reserve(n_frames);
-    for (uint64_t i = 0; i < n_frames && !r.failed(); ++i) {
-        FrameDescriptor fde;
-        fde.sectionSymbol = r.str();
-        fde.codeLength = static_cast<uint32_t>(r.u64());
-        fde.savedRegs = r.u8();
-        obj.frames.push_back(std::move(fde));
-    }
-
-    uint64_t n_checks = r.count("oversized integrity-check count");
-    for (uint64_t i = 0; i < n_checks && !r.failed(); ++i)
-        obj.integrityCheckedFunctions.push_back(r.str());
-
-    obj.debugRelocs = static_cast<uint32_t>(r.u64());
-    if (r.failed())
-        return makeError(ErrorCode::kMalformed, r.error())
-            .withContext("object " + obj.name);
-    if (!r.done())
-        return makeError(ErrorCode::kMalformed,
-                         "trailing bytes in object file")
+    std::string why = decodeFields(in, data.size(), obj);
+    if (why.empty() && !in.done())
+        why = "trailing bytes in object file";
+    if (!why.empty())
+        return makeError(ErrorCode::kMalformed, why)
             .withContext("object " + obj.name);
     return obj;
 }

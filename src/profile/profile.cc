@@ -5,9 +5,9 @@
 #include <map>
 
 #include "sched/sched.h"
+#include "support/bytes.h"
 #include "support/check.h"
 #include "support/hash.h"
-#include "support/leb128.h"
 
 namespace propeller::profile {
 
@@ -18,24 +18,12 @@ using support::makeError;
 using support::StatusOr;
 
 /** Leading magic of a serialized profile ("perf.data" file id). */
-constexpr uint8_t kProfileMagic[4] = {'L', 'B', 'R', '1'};
+constexpr char kProfileMagic[4] = {'L', 'B', 'R', '1'};
 
-/** Append @p v as 8 little-endian bytes. */
-void
-put64(std::vector<uint8_t> &out, uint64_t v)
+support::Status
+truncated(const char *what)
 {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-/** Read 8 little-endian bytes at @p p. */
-uint64_t
-get64(const uint8_t *p)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    return v;
+    return makeError(ErrorCode::kTruncated, std::string("truncated ") + what);
 }
 
 } // namespace
@@ -66,7 +54,7 @@ Profile::serialize() const
             encodeUleb128(sample.records[i].to, out);
         }
     }
-    put64(out, fnv1a(out.data(), out.size()));
+    putLe64(fnv1a(out.data(), out.size()), out);
     return out;
 }
 
@@ -78,57 +66,49 @@ Profile::deserializeChecked(const std::vector<uint8_t> &data)
         return makeError(ErrorCode::kTruncated,
                          "profile shorter than header + checksum (" +
                              std::to_string(data.size()) + " bytes)");
-    if (!std::equal(std::begin(kProfileMagic), std::end(kProfileMagic),
-                    data.begin()))
+    ByteReader in(data);
+    if (!in.magic({kProfileMagic, sizeof kProfileMagic}))
         return makeError(ErrorCode::kMalformed, "bad profile magic");
 
-    size_t payload_end = data.size() - 8;
-    uint64_t want = get64(data.data() + payload_end);
-    uint64_t got = fnv1a(data.data(), payload_end);
-    if (want != got)
+    uint64_t want = 0;
+    if (!in.footer(want) || want != fnv1a(data.data(), data.size() - 8))
         return makeError(ErrorCode::kChecksumMismatch,
                          "profile content checksum does not verify");
 
     Profile p;
-    size_t pos = sizeof(kProfileMagic);
-    auto next = [&](const char *what) -> StatusOr<uint64_t> {
-        auto v = decodeUleb128(data, pos);
-        if (!v || pos > payload_end)
-            return makeError(ErrorCode::kTruncated,
-                             std::string("truncated ") + what);
-        return *v;
-    };
-    PROPELLER_ASSIGN_OR_RETURN(p.binaryHash, next("binary hash"));
-    PROPELLER_ASSIGN_OR_RETURN(p.totalRetired, next("retired count"));
-    PROPELLER_ASSIGN_OR_RETURN(uint64_t n, next("sample count"));
+    uint64_t n = 0;
+    if (!in.uleb(p.binaryHash))
+        return truncated("binary hash");
+    if (!in.uleb(p.totalRetired))
+        return truncated("retired count");
+    if (!in.uleb(n))
+        return truncated("sample count");
     // Every sample needs at least one byte, so a larger count is corrupt
     // input (guards the reserve() below against fuzzed bytes).
-    if (n > payload_end - pos)
+    if (n > in.left())
         return makeError(ErrorCode::kMalformed,
                          "sample count " + std::to_string(n) +
                              " exceeds payload size");
     p.samples.reserve(n);
     for (uint64_t s = 0; s < n; ++s) {
-        LbrSample sample;
-        if (pos >= payload_end)
+        LbrSample &sample = p.samples.emplace_back();
+        if (!in.u8(sample.count))
             return makeError(ErrorCode::kTruncated,
                              "sample " + std::to_string(s) +
                                  ": missing record count");
-        sample.count = data[pos++];
         if (sample.count > kLbrDepth)
             return makeError(ErrorCode::kMalformed,
                              "sample " + std::to_string(s) + ": " +
                                  std::to_string(sample.count) +
                                  " records exceeds LBR depth");
         for (unsigned i = 0; i < sample.count; ++i) {
-            PROPELLER_ASSIGN_OR_RETURN(sample.records[i].from,
-                                       next("branch source"));
-            PROPELLER_ASSIGN_OR_RETURN(sample.records[i].to,
-                                       next("branch target"));
+            if (!in.uleb(sample.records[i].from))
+                return truncated("branch source");
+            if (!in.uleb(sample.records[i].to))
+                return truncated("branch target");
         }
-        p.samples.push_back(sample);
     }
-    if (pos != payload_end)
+    if (!in.done())
         return makeError(ErrorCode::kMalformed,
                          "trailing bytes after last sample");
     return p;

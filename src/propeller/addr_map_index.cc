@@ -212,8 +212,12 @@ AddrMapIndex::lookup(uint64_t addr) const
     if (it == intervals_.begin())
         return std::nullopt;
     --it;
-    // Ties put zero-size blocks before the non-empty block at the same
-    // address, so it-1 is the block that actually contains addr.
+    // Ties keep map order: within a function zero-size blocks sort before
+    // the sized block at their address, but another function's
+    // zero-size block can sort after it, so step back over those.
+    while (it->size == 0 && it != intervals_.begin() &&
+           (it - 1)->start == it->start)
+        --it;
     if (addr - it->start >= it->size)
         return std::nullopt;
     return toRef(*it, static_cast<uint32_t>(it - intervals_.begin()));

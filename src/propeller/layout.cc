@@ -9,6 +9,7 @@
 
 #include "propeller/hfsort.h"
 #include "sched/sched.h"
+#include "support/bytes.h"
 #include "support/check.h"
 #include "support/hash.h"
 
@@ -16,19 +17,13 @@ namespace propeller::core {
 
 namespace {
 
-/** Hot node indices of one function under the hotness threshold. */
+/** Hot node indices of one function: every sampled block. */
 std::vector<char>
-hotMask(const FunctionDcfg &fn, const LayoutOptions &opts)
+hotMask(const FunctionDcfg &fn)
 {
-    uint64_t max_freq = 0;
-    for (const auto &node : fn.nodes)
-        max_freq = std::max(max_freq, node.freq);
-    uint64_t threshold = static_cast<uint64_t>(
-        opts.hotThresholdFraction * static_cast<double>(max_freq));
     std::vector<char> hot(fn.nodes.size(), 0);
     for (size_t i = 0; i < fn.nodes.size(); ++i)
-        hot[i] = fn.nodes[i].freq > threshold ||
-                 (fn.nodes[i].freq > 0 && threshold == 0);
+        hot[i] = fn.nodes[i].freq > 0;
     hot[fn.entryNode] = 1; // The entry block anchors the primary cluster.
     return hot;
 }
@@ -92,7 +87,7 @@ layoutOneFunction(const Ctx &ctx, size_t f)
     const FunctionDcfg &fn = ctx.dcfg.functions[f];
     FunctionLayout out;
     {
-        std::vector<char> hot = hotMask(fn, ctx.opts);
+        std::vector<char> hot = hotMask(fn);
 
         // Build the hot-subgraph layout problem.
         std::vector<LayoutNode> nodes;
@@ -241,7 +236,7 @@ interProceduralLayout(const Ctx &ctx, LayoutResult &result)
 
     for (size_t f = 0; f < ctx.dcfg.functions.size(); ++f) {
         const FunctionDcfg &fn = ctx.dcfg.functions[f];
-        hot_masks[f] = hotMask(fn, ctx.opts);
+        hot_masks[f] = hotMask(fn);
         global_index[f].assign(fn.nodes.size(), -1);
         for (size_t i = 0; i < fn.nodes.size(); ++i) {
             if (!hot_masks[f][i])
@@ -478,25 +473,6 @@ doubleBits(double d)
     return bits;
 }
 
-void
-putU64(std::vector<uint8_t> &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-bool
-getU64(const std::vector<uint8_t> &in, size_t &pos, uint64_t &v)
-{
-    if (pos + 8 > in.size())
-        return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(in[pos + i]) << (8 * i);
-    pos += 8;
-    return true;
-}
-
 } // namespace
 
 uint64_t
@@ -504,7 +480,9 @@ layoutOptionsFingerprint(const LayoutOptions &opts)
 {
     uint64_t h = kFnvOffset;
     h = hashCombine(h, opts.splitFunctions ? 1 : 0);
-    h = hashCombine(h, doubleBits(opts.hotThresholdFraction));
+    // A retired hot-threshold fraction, always 0, keeps its slot so memo
+    // keys and persisted layout entries do not move.
+    h = hashCombine(h, doubleBits(0.0));
     h = hashCombine(h, opts.interProcedural ? 1 : 0);
     h = hashCombine(h, opts.interProcMinRunBlocks);
     h = hashCombine(h, opts.reorderBlocks ? 1 : 0);
@@ -600,20 +578,20 @@ std::vector<uint8_t>
 encodeFunctionLayout(const FunctionLayout &layout)
 {
     std::vector<uint8_t> out;
-    putU64(out, layout.spec.clusters.size());
+    putLe64(layout.spec.clusters.size(), out);
     for (const auto &cluster : layout.spec.clusters) {
-        putU64(out, cluster.size());
+        putLe64(cluster.size(), out);
         for (uint32_t bb : cluster)
-            putU64(out, bb);
+            putLe64(bb, out);
     }
-    putU64(out, static_cast<uint64_t>(
-                    static_cast<int64_t>(layout.spec.coldIndex)));
-    putU64(out, layout.stats.merges);
-    putU64(out, layout.stats.candidateEvals);
-    putU64(out, layout.stats.retrievals);
-    putU64(out, layout.stats.heapPops);
-    putU64(out, layout.stats.staleSkips);
-    putU64(out, doubleBits(layout.stats.finalScore));
+    putLe64(static_cast<uint64_t>(static_cast<int64_t>(layout.spec.coldIndex)),
+            out);
+    putLe64(layout.stats.merges, out);
+    putLe64(layout.stats.candidateEvals, out);
+    putLe64(layout.stats.retrievals, out);
+    putLe64(layout.stats.heapPops, out);
+    putLe64(layout.stats.staleSkips, out);
+    putLe64(doubleBits(layout.stats.finalScore), out);
     return out;
 }
 
@@ -622,42 +600,37 @@ decodeFunctionLayout(const std::vector<uint8_t> &bytes,
                      FunctionLayout &out)
 {
     FunctionLayout decoded;
-    size_t pos = 0;
+    ByteReader in(bytes);
+    // Every count is bounded by the words left, so no reservation
+    // outgrows the input.
     uint64_t nclusters = 0;
-    if (!getU64(bytes, pos, nclusters) ||
-        nclusters > bytes.size() / 8)
+    if (!in.le64(nclusters) || nclusters > in.left() / 8)
         return false;
     decoded.spec.clusters.resize(nclusters);
     for (auto &cluster : decoded.spec.clusters) {
         uint64_t n = 0;
-        if (!getU64(bytes, pos, n) || n > bytes.size() / 8)
+        if (!in.le64(n) || n > in.left() / 8)
             return false;
         cluster.reserve(n);
         for (uint64_t i = 0; i < n; ++i) {
             uint64_t bb = 0;
-            if (!getU64(bytes, pos, bb) ||
-                bb > std::numeric_limits<uint32_t>::max())
+            if (!in.le64(bb) || bb > std::numeric_limits<uint32_t>::max())
                 return false;
             cluster.push_back(static_cast<uint32_t>(bb));
         }
     }
     uint64_t cold = 0;
-    if (!getU64(bytes, pos, cold))
-        return false;
-    decoded.spec.coldIndex =
-        static_cast<int>(static_cast<int64_t>(cold));
     uint64_t score_bits = 0;
-    if (!getU64(bytes, pos, decoded.stats.merges) ||
-        !getU64(bytes, pos, decoded.stats.candidateEvals) ||
-        !getU64(bytes, pos, decoded.stats.retrievals) ||
-        !getU64(bytes, pos, decoded.stats.heapPops) ||
-        !getU64(bytes, pos, decoded.stats.staleSkips) ||
-        !getU64(bytes, pos, score_bits))
+    if (!in.le64(cold) || !in.le64(decoded.stats.merges) ||
+        !in.le64(decoded.stats.candidateEvals) ||
+        !in.le64(decoded.stats.retrievals) ||
+        !in.le64(decoded.stats.heapPops) ||
+        !in.le64(decoded.stats.staleSkips) || !in.le64(score_bits) ||
+        !in.done())
         return false;
+    decoded.spec.coldIndex = static_cast<int>(static_cast<int64_t>(cold));
     std::memcpy(&decoded.stats.finalScore, &score_bits,
                 sizeof(score_bits));
-    if (pos != bytes.size())
-        return false;
     out = std::move(decoded);
     return true;
 }

@@ -37,12 +37,6 @@ struct LayoutOptions
     /** Extract cold blocks into ".cold" clusters (paper section 4.6). */
     bool splitFunctions = true;
 
-    /**
-     * A block is hot if its frequency exceeds this fraction of the
-     * function's hottest block (0 = any sampled block is hot).
-     */
-    double hotThresholdFraction = 0.0;
-
     /** Use inter-procedural layout (section 4.7). */
     bool interProcedural = false;
 

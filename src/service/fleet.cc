@@ -195,8 +195,6 @@ FleetService::Impl::Impl(FleetOptions o) : opts(std::move(o))
 {
     opts.machines = std::max<uint32_t>(opts.machines, 1);
     opts.versions = std::max<uint32_t>(opts.versions, 1);
-    opts.upgradesPerEpoch = std::max<uint32_t>(opts.upgradesPerEpoch, 1);
-    opts.decayWindow = std::max<uint32_t>(opts.decayWindow, 1);
     if (opts.cachePath.empty())
         opts.cachePath = opts.base.name + ".fleet.cache";
 

@@ -111,7 +111,7 @@ struct FleetOptions
      *  Doubles as the lag horizon: a shard older than this is useless
      *  to the mix, so outstanding batch gaps older than the window are
      *  finalized as losses. */
-    uint32_t decayWindow = 4;
+    static constexpr uint32_t decayWindow = 4;
 
     /**
      * Epoch at which the newest version becomes the relink target.  The
@@ -122,7 +122,7 @@ struct FleetOptions
     uint32_t releaseEpoch = 2;
 
     /** Machines migrated to the target per epoch after the release. */
-    uint32_t upgradesPerEpoch = 2;
+    static constexpr uint32_t upgradesPerEpoch = 2;
 
     /** Scale the combined DCFG's heaviest branch count to this. */
     static constexpr uint64_t freqResolution = 1'000'000;

@@ -15,6 +15,10 @@
 #include "build/cache.h"
 #include "build/journal.h"
 #include "build/workflow.h"
+#include "codegen/codegen.h"
+#include "elf/bb_addr_map.h"
+#include "profile/profile.h"
+#include "propeller/propeller.h"
 #include "support/hash.h"
 #include "test_util.h"
 
@@ -511,6 +515,164 @@ TEST(WorkflowCache, PreviousFormatImageColdStarts)
         EXPECT_EQ(stats->corruptions, 0u);
     }
     std::remove(path);
+}
+
+// ---------------------------------------------------------------------
+// Format pins: one digest per persisted or wire format, over the bytes
+// each encoder writes for the two LinkGolden apps (tests/test_linker.cc).
+// A codec change that claims byte-identical formats must leave these
+// passing.
+
+/** The digests of one app's formats. */
+struct FormatDigests
+{
+    uint64_t objects = 0;    ///< Serialized Phase 2 objects.
+    uint64_t addrMapsV1 = 0; ///< Their maps re-encoded as v1...
+    uint64_t addrMapsV2 = 0; ///< ...and as v2.
+    uint64_t profile = 0;    ///< The workflow profile (LBR1).
+    uint64_t shards = 0;     ///< The same profile in 128-sample shards.
+    uint64_t layouts = 0;    ///< Every WPA function's encoded layout.
+    uint64_t image = 0;      ///< The cache image after the relink (PAC4).
+    uint64_t journal = 0;    ///< That image framed as saved (PFJ2).
+};
+
+void
+addBytes(test::Digest &d, const std::vector<uint8_t> &bytes)
+{
+    d.add(std::string(bytes.begin(), bytes.end()));
+}
+
+FormatDigests
+computeFormatDigests(const workload::WorkloadConfig &cfg, bool debug_info)
+{
+    FormatDigests out;
+    Workflow wf(cfg);
+    codegen::Options copts;
+    copts.emitAddrMapSection = true;
+    copts.emitDebugInfo = debug_info;
+    test::Digest objects, v1, v2;
+    size_t with_maps = 0;
+    for (const elf::ObjectFile &obj :
+         codegen::compileProgram(wf.program(), copts)) {
+        addBytes(objects, obj.serialize());
+        const int sect = obj.findSection(".bb_addr_map");
+        if (sect < 0)
+            continue;
+        auto maps = elf::decodeAddrMapsChecked(obj.sections[sect].bytes);
+        EXPECT_TRUE(maps.ok()) << obj.name;
+        if (!maps.ok())
+            continue;
+        ++with_maps;
+        addBytes(v1, elf::encodeAddrMaps(*maps, elf::AddrMapVersion::V1));
+        addBytes(v2, elf::encodeAddrMaps(*maps, elf::AddrMapVersion::V2));
+    }
+    EXPECT_GT(with_maps, 0u);
+    out.objects = objects.value();
+    out.addrMapsV1 = v1.value();
+    out.addrMapsV2 = v2.value();
+
+    const profile::Profile &prof = wf.profile();
+    test::Digest p, shards, layouts;
+    addBytes(p, prof.serialize());
+    for (const auto &shard : profile::serializeShards(prof, 128))
+        addBytes(shards, shard);
+    out.profile = p.value();
+    out.shards = shards.value();
+
+    core::WpaPipeline pipe(wf.metadataBinary(), prof, core::LayoutOptions{},
+                           1);
+    pipe.build();
+    for (size_t f = 0; f < pipe.functionCount(); ++f)
+        addBytes(layouts, core::encodeFunctionLayout(pipe.layoutFunction(f)));
+    out.layouts = layouts.value();
+
+    wf.propellerBinary();
+    // ctest runs each test in its own process, in parallel.
+    const std::string path =
+        std::string("test_format_golden_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        std::to_string(cfg.seed) + ".cache";
+    EXPECT_TRUE(wf.saveCacheFile(path, /*generation=*/9));
+    std::vector<uint8_t> file;
+    EXPECT_TRUE(readFile(path, file));
+    std::remove(path.c_str());
+    std::span<const uint8_t> payload;
+    EXPECT_TRUE(decodeJournal(file, nullptr, &payload));
+    test::Digest image, journal;
+    addBytes(image, bytesOf(payload));
+    addBytes(journal, file);
+    out.image = image.value();
+    out.journal = journal.value();
+    return out;
+}
+
+/** The LinkGolden apps' digests, computed once per test binary. */
+const FormatDigests &
+formatDigests(int app)
+{
+    static const FormatDigests small = [] {
+        workload::WorkloadConfig cfg = test::smallConfig(47);
+        cfg.integrityCheckedFunctions = 2;
+        return computeFormatDigests(cfg, false);
+    }();
+    static const FormatDigests handAsm = [] {
+        workload::WorkloadConfig cfg = test::smallConfig(73);
+        cfg.integrityCheckedFunctions = 1;
+        cfg.handAsmFunctions = 3;
+        return computeFormatDigests(cfg, true);
+    }();
+    return app == 0 ? small : handAsm;
+}
+
+/** Check one pinned field of both apps. */
+void
+expectPinned(uint64_t FormatDigests::*field, uint64_t small,
+             uint64_t hand_asm)
+{
+    EXPECT_EQ(formatDigests(0).*field, small)
+        << "small app 0x" << std::hex << formatDigests(0).*field;
+    EXPECT_EQ(formatDigests(1).*field, hand_asm)
+        << "hand-asm app 0x" << std::hex << formatDigests(1).*field;
+}
+
+TEST(FormatGolden, ObjectFiles)
+{
+    expectPinned(&FormatDigests::objects, 0x71fd0eeda340a974ull,
+                 0x24a1a708f1723859ull);
+}
+
+TEST(FormatGolden, AddrMapsV1AndV2)
+{
+    expectPinned(&FormatDigests::addrMapsV1, 0x7bd0cdf952619316ull,
+                 0x91b46d5132c278f8ull);
+    expectPinned(&FormatDigests::addrMapsV2, 0x369ee22dd73c7752ull,
+                 0x418e3255adfc0945ull);
+}
+
+TEST(FormatGolden, ProfileAndShards)
+{
+    expectPinned(&FormatDigests::profile, 0x8a7419e80f24b975ull,
+                 0xe729e59331fe96b7ull);
+    expectPinned(&FormatDigests::shards, 0xc80408ab08411df6ull,
+                 0x56c6dfcf1979fb7dull);
+}
+
+TEST(FormatGolden, FunctionLayouts)
+{
+    expectPinned(&FormatDigests::layouts, 0x11eea5bc69ecc8f5ull,
+                 0x7a2453ab37a3f542ull);
+}
+
+TEST(FormatGolden, CacheImage)
+{
+    expectPinned(&FormatDigests::image, 0xb8b9dcee8868db44ull,
+                 0x007d933ff20d269bull);
+}
+
+TEST(FormatGolden, Journal)
+{
+    expectPinned(&FormatDigests::journal, 0x2e98f5a68a86e55full,
+                 0x1fc48ae6be196da0ull);
 }
 
 TEST(WorkflowReports, BoltReportsPopulated)

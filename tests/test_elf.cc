@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "elf/object.h"
-#include "support/leb128.h"
+#include "support/bytes.h"
 #include "support/rng.h"
 
 namespace propeller::elf {
@@ -405,6 +405,44 @@ TEST(Serialize, DeserializeOfSerializeIsFixpoint)
     std::vector<uint8_t> once = obj.serialize();
     std::vector<uint8_t> twice = ObjectFile::deserialize(once).serialize();
     EXPECT_EQ(once, twice);
+}
+
+TEST(Serialize, LengthPastTheEndIsTruncation)
+{
+    // The magic, then a name whose length runs past the end: a short
+    // overrun, and a length near 2^64 that would wrap a position-plus-
+    // length bound into a read outside the buffer.
+    const std::vector<uint8_t> valid = sampleObject().serialize();
+    ByteReader in(valid);
+    uint64_t magic = 0;
+    ASSERT_TRUE(in.uleb(magic));
+    for (uint64_t len : {uint64_t{100}, uint64_t{UINT64_MAX}}) {
+        std::vector<uint8_t> hostile(valid.data(), in.p);
+        encodeUleb128(len, hostile);
+        hostile.insert(hostile.end(), {'a', 'b'});
+        auto obj = ObjectFile::deserializeChecked(hostile);
+        ASSERT_FALSE(obj.ok()) << len;
+        EXPECT_EQ(obj.status().code(), support::ErrorCode::kMalformed);
+        EXPECT_NE(obj.status().toString().find("truncated string"),
+                  std::string::npos)
+            << obj.status().toString();
+    }
+}
+
+TEST(Serialize, HostileCountsRejected)
+{
+    // The magic and a name, then a section count no input could hold:
+    // refused before anything is reserved from it.
+    ObjectFile named;
+    named.name = "x.o";
+    std::vector<uint8_t> hostile = named.serialize();
+    hostile.resize(hostile.size() - 5); // Drop the four counts and relocs.
+    encodeUleb128(0xffffffffffffull, hostile);
+    auto obj = ObjectFile::deserializeChecked(hostile);
+    ASSERT_FALSE(obj.ok());
+    EXPECT_NE(obj.status().toString().find("oversized section count"),
+              std::string::npos)
+        << obj.status().toString();
 }
 
 TEST(ObjectFile, FindSection)

@@ -12,6 +12,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,9 +27,63 @@
 #include "faultinject/faultinject.h"
 #include "linker/linker.h"
 #include "profile/profile.h"
+#include "propeller/propeller.h"
+#include "support/bytes.h"
 #include "support/hash.h"
 #include "support/rng.h"
 #include "test_util.h"
+
+// The decoder fuzz checks that no reservation outgrows what its input
+// could hold: these replacements of the scalar allocation functions
+// record the largest request made while a decode runs.  The whole
+// scalar family is replaced, so no block is freed by an allocator other
+// than the one that made it (a sanitizer runtime keeps the array
+// family, which std::allocator does not use).
+namespace {
+thread_local bool g_trackAllocations = false;
+thread_local std::size_t g_largestAllocation = 0;
+
+void *
+trackedMalloc(std::size_t size) noexcept
+{
+    if (g_trackAllocations)
+        g_largestAllocation = std::max(g_largestAllocation, size);
+    return std::malloc(size == 0 ? 1 : size);
+}
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    if (void *p = trackedMalloc(size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return trackedMalloc(size);
+}
+
+// Out of line, so no caller sees free() paired with a new expression.
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 namespace propeller {
 namespace {
@@ -47,6 +104,51 @@ validAddrMapBlob()
     int sect = objects[0].findSection(".bb_addr_map");
     EXPECT_GE(sect, 0);
     return objects[0].sections[sect].bytes;
+}
+
+/** Serialized objects of an app with hand assembly, debug info,
+ *  integrity checks and address maps (LinkGolden's second app). */
+std::vector<std::vector<uint8_t>>
+validObjectBlobs()
+{
+    workload::WorkloadConfig cfg = test::smallConfig(73);
+    cfg.integrityCheckedFunctions = 1;
+    cfg.handAsmFunctions = 3;
+    buildsys::Workflow wf(cfg);
+    codegen::Options opts;
+    opts.emitAddrMapSection = true;
+    opts.emitDebugInfo = true;
+    std::vector<std::vector<uint8_t>> blobs;
+    for (const elf::ObjectFile &obj :
+         codegen::compileProgram(wf.program(), opts))
+        blobs.push_back(obj.serialize());
+    return blobs;
+}
+
+/** Every WPA function's encoded layout for a small app. */
+std::vector<std::vector<uint8_t>>
+validLayoutBlobs()
+{
+    buildsys::Workflow wf(test::smallConfig());
+    core::WpaPipeline pipe(wf.metadataBinary(), wf.profile(),
+                           core::LayoutOptions{}, 1);
+    pipe.build();
+    std::vector<std::vector<uint8_t>> blobs;
+    for (size_t f = 0; f < pipe.functionCount(); ++f)
+        blobs.push_back(core::encodeFunctionLayout(pipe.layoutFunction(f)));
+    return blobs;
+}
+
+/** The largest single allocation @p decode makes. */
+template <typename Fn>
+std::size_t
+largestAllocation(Fn &&decode)
+{
+    g_largestAllocation = 0;
+    g_trackAllocations = true;
+    decode();
+    g_trackAllocations = false;
+    return g_largestAllocation;
 }
 
 /** A deterministic profile with enough samples to shard. */
@@ -179,6 +281,82 @@ TEST(FuzzRejection, ProfileMutationsNeverAcceptedSilently)
     }
 }
 
+// Object files and encoded layouts carry no checksum of their own (the
+// cache's entry hashes guard them), so a mutant may decode.  Each must
+// decode or be refused with a typed error, never crash, and never
+// allocate more than one decoded element per input byte (per 8-byte
+// word for layouts).  What an accepted mutant decodes to re-encodes
+// canonically: the re-encoding decodes again and re-encodes to itself.
+
+TEST(FuzzRejection, ObjectMutationsDecodeOrFailTyped)
+{
+    const std::vector<std::vector<uint8_t>> blobs = validObjectBlobs();
+    ASSERT_FALSE(blobs.empty());
+    for (const auto &blob : blobs)
+        ASSERT_TRUE(elf::ObjectFile::deserializeChecked(blob).ok());
+    constexpr std::size_t kElement =
+        std::max({sizeof(elf::Section), sizeof(elf::TextPiece),
+                  sizeof(elf::Symbol), sizeof(elf::FrameDescriptor),
+                  sizeof(std::string)});
+
+    size_t rejected = 0;
+    for (uint64_t seed = 0; seed < 400; ++seed) {
+        Rng rng(mix64(0x0b1ec7f2, seed));
+        std::vector<uint8_t> mutated = blobs[seed % blobs.size()];
+        mutateBytes(mutated, rng);
+        // An exact-size buffer, so any overread leaves the allocation.
+        mutated.shrink_to_fit();
+        std::optional<support::StatusOr<elf::ObjectFile>> decoded;
+        const std::size_t largest = largestAllocation([&] {
+            decoded.emplace(elf::ObjectFile::deserializeChecked(mutated));
+        });
+        EXPECT_LE(largest, mutated.size() * kElement) << "seed " << seed;
+        if (!decoded->ok()) {
+            ++rejected;
+            EXPECT_NE(decoded->status().code(), support::ErrorCode::kOk)
+                << "seed " << seed;
+            EXPECT_FALSE(decoded->status().message().empty())
+                << "seed " << seed;
+            continue;
+        }
+        const std::vector<uint8_t> canon = (*decoded)->serialize();
+        auto again = elf::ObjectFile::deserializeChecked(canon);
+        ASSERT_TRUE(again.ok()) << "seed " << seed;
+        EXPECT_EQ(again->serialize(), canon) << "seed " << seed;
+    }
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST(FuzzRejection, LayoutMutationsDecodeOrFailTyped)
+{
+    const std::vector<std::vector<uint8_t>> blobs = validLayoutBlobs();
+    ASSERT_FALSE(blobs.empty());
+    size_t rejected = 0;
+    for (uint64_t seed = 0; seed < 200; ++seed) {
+        Rng rng(mix64(0x1a7011, seed));
+        std::vector<uint8_t> mutated = blobs[seed % blobs.size()];
+        mutateBytes(mutated, rng);
+        mutated.shrink_to_fit();
+        core::FunctionLayout layout;
+        bool ok = false;
+        const std::size_t largest = largestAllocation(
+            [&] { ok = core::decodeFunctionLayout(mutated, layout); });
+        EXPECT_LE(largest, mutated.size() / 8 * sizeof(std::vector<uint32_t>))
+            << "seed " << seed;
+        if (!ok) {
+            ++rejected;
+            continue;
+        }
+        const std::vector<uint8_t> canon = core::encodeFunctionLayout(layout);
+        core::FunctionLayout again;
+        ASSERT_TRUE(core::decodeFunctionLayout(canon, again))
+            << "seed " << seed;
+        EXPECT_EQ(core::encodeFunctionLayout(again), canon)
+            << "seed " << seed;
+    }
+    EXPECT_GT(rejected, 0u);
+}
+
 // The persisted cache image: the journal container (its footer covers
 // the whole file) and, inside it, the cache image (its own footer and
 // the per-entry framing).  The journal fuzz damages the file as stored,
@@ -235,9 +413,7 @@ TEST(FuzzRejection, CacheImageMutationsNeverAcceptedSilently)
         Rng rng(mix64(0x5ea1ed, seed));
         std::vector<uint8_t> mutated = body;
         mutateBytes(mutated, rng);
-        const uint64_t footer = xxh64(mutated.data(), mutated.size());
-        for (int i = 0; i < 8; ++i)
-            mutated.push_back(static_cast<uint8_t>(footer >> (8 * i)));
+        putLe64(xxh64(mutated.data(), mutated.size()), mutated);
         // An exact-size buffer, so any overread leaves the allocation.
         mutated.shrink_to_fit();
 

@@ -280,7 +280,8 @@ TEST(AddrMapIndexGolden, HandBuiltEdgeCases)
     block(wraps, 0, 0xfffffffffffffff8ull, 0x10);
     map("empty", 0x56);
     // "after" starts where "zero" ends with a zero-size block, and its
-    // map comes first: the tie keeps map order.  Block 5 is past the
+    // map comes first, so the tie sorts the zero-size block after the
+    // sized one and lookup must step back to it.  Block 5 is past the
     // function's block count.
     size_t after = map("after", 0x57);
     block(after, 0, 0x208, 8, {5});
@@ -312,7 +313,13 @@ TEST(AddrMapIndexGolden, HandBuiltEdgeCases)
     EXPECT_EQ(index.quarantined(),
               (std::vector<std::string>{"dup", "outside", "overlap",
                                         "wraps"}));
-    EXPECT_EQ(indexDigest(exe), 0xcf2e5b7185e82f2dull);
+    for (uint64_t addr : {0x208ull, 0x20full}) {
+        const std::optional<BlockRef> ref = index.lookup(addr);
+        ASSERT_TRUE(ref.has_value()) << std::hex << addr;
+        EXPECT_EQ(index.functionNames()[ref->funcIndex], "after");
+        EXPECT_EQ(ref->bbId, 0u);
+    }
+    EXPECT_EQ(indexDigest(exe), 0xdf055b7c9116f271ull);
 }
 
 TEST(ProfileMapper, RecoversGroundTruthEdges)

@@ -1,15 +1,17 @@
 /**
  * @file
  * Unit tests for the support library: memory metering, RNG, hashing,
- * ULEB128, unit formatting, table rendering.
+ * the byte codec, unit formatting, table rendering.
  */
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
 #include <vector>
 
+#include "support/bytes.h"
 #include "support/hash.h"
-#include "support/leb128.h"
 #include "support/memory_meter.h"
 #include "support/rng.h"
 #include "support/table.h"
@@ -239,11 +241,11 @@ TEST_P(Leb128Roundtrip, EncodesAndDecodes)
     std::vector<uint8_t> buf;
     encodeUleb128(value, buf);
     EXPECT_EQ(buf.size(), uleb128Size(value));
-    size_t pos = 0;
-    auto decoded = decodeUleb128(buf, pos);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(*decoded, value);
-    EXPECT_EQ(pos, buf.size());
+    ByteReader in(buf);
+    uint64_t decoded = 0;
+    ASSERT_TRUE(in.uleb(decoded));
+    EXPECT_EQ(decoded, value);
+    EXPECT_TRUE(in.done());
 }
 
 INSTANTIATE_TEST_SUITE_P(Values, Leb128Roundtrip,
@@ -258,15 +260,115 @@ TEST(Leb128, TruncatedInputFails)
     std::vector<uint8_t> buf;
     encodeUleb128(UINT64_MAX, buf);
     buf.pop_back();
-    size_t pos = 0;
-    EXPECT_FALSE(decodeUleb128(buf, pos).has_value());
+    ByteReader in(buf);
+    uint64_t v = 7;
+    EXPECT_FALSE(in.uleb(v));
+    EXPECT_EQ(v, 7u);
 }
 
 TEST(Leb128, EmptyInputFails)
 {
     std::vector<uint8_t> buf;
-    size_t pos = 0;
-    EXPECT_FALSE(decodeUleb128(buf, pos).has_value());
+    ByteReader in(buf);
+    uint64_t v = 0;
+    EXPECT_FALSE(in.uleb(v));
+}
+
+TEST(Leb128, WiderThan64BitsFails)
+{
+    // Ten continuation bytes carry 70 bits: the eleventh byte is refused
+    // even though it terminates the field.
+    std::vector<uint8_t> buf(10, 0x80);
+    buf.push_back(0x00);
+    ByteReader in(buf);
+    uint64_t v = 0;
+    EXPECT_FALSE(in.uleb(v));
+}
+
+TEST(ByteReader, FieldsRoundTrip)
+{
+    // Sized up front: GCC 12 at -O3 misreads the growth path of the
+    // small range inserts below (a false -Wstringop-overflow).
+    std::vector<uint8_t> buf;
+    buf.reserve(32);
+    putLe64(0x0123456789abcdefull, buf);
+    putString("name", buf);
+    const std::vector<uint8_t> run = {1, 2, 3};
+    putBytes(run, buf);
+    buf.push_back(0xfe);
+    // The 8-byte words are little-endian on any host.
+    EXPECT_EQ(buf[0], 0xef);
+    EXPECT_EQ(buf[7], 0x01);
+    EXPECT_EQ(getLe64(buf.data()), 0x0123456789abcdefull);
+
+    ByteReader in(buf);
+    uint64_t word = 0;
+    std::string name;
+    uint64_t len = 0;
+    std::span<const uint8_t> bytes;
+    uint8_t last = 0;
+    ASSERT_TRUE(in.le64(word));
+    ASSERT_TRUE(in.str(name));
+    ASSERT_TRUE(in.uleb(len));
+    ASSERT_TRUE(in.bytes(len, bytes));
+    EXPECT_EQ(in.left(), 1u);
+    ASSERT_TRUE(in.u8(last));
+    EXPECT_TRUE(in.done());
+    EXPECT_EQ(word, 0x0123456789abcdefull);
+    EXPECT_EQ(name, "name");
+    EXPECT_EQ(std::vector<uint8_t>(bytes.begin(), bytes.end()), run);
+    EXPECT_EQ(last, 0xfe);
+    // Every read past the end fails and leaves its output alone.
+    EXPECT_FALSE(in.u8(last));
+    EXPECT_FALSE(in.le64(word));
+    EXPECT_FALSE(in.str(name));
+    EXPECT_EQ(last, 0xfe);
+    EXPECT_EQ(word, 0x0123456789abcdefull);
+    EXPECT_EQ(name, "name");
+}
+
+TEST(ByteReader, LengthsAreBoundedByTheBytesLeft)
+{
+    // A string whose length claims more bytes than remain, including a
+    // length near 2^64 that would wrap a position-plus-length check.
+    for (uint64_t claimed : {uint64_t{4}, uint64_t{UINT64_MAX}}) {
+        std::vector<uint8_t> buf;
+        encodeUleb128(claimed, buf);
+        buf.insert(buf.end(), {'a', 'b', 'c'});
+        ByteReader in(buf);
+        std::string s;
+        EXPECT_FALSE(in.str(s)) << claimed;
+        EXPECT_TRUE(s.empty()) << claimed;
+    }
+    std::vector<uint8_t> seven(7, 0);
+    ByteReader in(seven);
+    uint64_t word = 0;
+    std::span<const uint8_t> view;
+    EXPECT_FALSE(in.le64(word));
+    EXPECT_FALSE(in.bytes(8, view));
+    EXPECT_TRUE(in.bytes(7, view));
+    EXPECT_TRUE(in.done());
+}
+
+TEST(ByteReader, FooterPullsTheEndIn)
+{
+    std::vector<uint8_t> buf = {'T', 'A', 'G', 5};
+    putLe64(0xfeedull, buf);
+    ByteReader in(buf);
+    uint64_t footer = 0;
+    EXPECT_FALSE(in.magic("TAX"));
+    ASSERT_TRUE(in.magic("TAG"));
+    ASSERT_TRUE(in.footer(footer));
+    EXPECT_EQ(footer, 0xfeedull);
+    // Only the byte before the footer is left to read.
+    uint64_t word = 0;
+    EXPECT_FALSE(in.le64(word));
+    EXPECT_EQ(in.left(), 1u);
+    uint8_t b = 0;
+    ASSERT_TRUE(in.u8(b));
+    EXPECT_EQ(b, 5);
+    EXPECT_TRUE(in.done());
+    EXPECT_FALSE(in.footer(footer));
 }
 
 TEST(Units, FormatBytes)

@@ -665,7 +665,6 @@ cmdServe(const std::string &name)
                 fo.machines, fo.versions, name.c_str(), fo.driftThreshold,
                 chaos ? ", chaos on" : "");
 
-    const uint32_t decayWindow = fo.decayWindow;
     fleet::FleetService service(std::move(fo));
     if (chaos)
         service.setChaosHooks(chaos.get());
@@ -711,7 +710,6 @@ cmdServe(const std::string &name)
                     cs.maxDelayInjected,
                     static_cast<unsigned long long>(cs.shardsCorrupted),
                     static_cast<unsigned long long>(cs.relinkFaults));
-        (void)decayWindow;
     }
 
     if (!g_statusz_out.empty()) {

@@ -111,35 +111,43 @@ const ir::Program &
 Workflow::program()
 {
     if (!program_)
-        program_ = workload::generate(config_);
+        setProgram(workload::generate(config_));
     return *program_;
+}
+
+void
+Workflow::setProgram(ir::Program prog)
+{
+    program_ = std::move(prog);
+    moduleHashes_.assign(program_->modules.size(), 0);
+    moduleHashed_.assign(program_->modules.size(), 0);
 }
 
 uint64_t
 Workflow::moduleHash(size_t module_index) const
 {
     assert(program_ && "program() must be generated first");
-    // Codegen actions key themselves on worker threads.
-    std::call_once(moduleHashesOnce_, [this] {
-        moduleHashes_.reserve(program_->modules.size());
-        for (const auto &mod : program_->modules) {
-            uint64_t h = fnv1a(mod->name);
-            h = hashCombine(h, mod->rodataBytes);
-            for (const auto &fn : mod->functions) {
-                h = fnv1a(fn->name, h);
-                h = hashCombine(h, fn->isHandAsm ? 1 : 0);
-                h = hashCombine(h, fn->hasIntegrityCheck ? 1 : 0);
-                for (const auto &bb : fn->blocks) {
-                    h = hashCombine(h, bb->id);
-                    h = hashCombine(h, bb->isLandingPad ? 1 : 0);
-                    for (const auto &inst : bb->insts)
-                        h = hashInst(h, inst);
-                }
-            }
-            moduleHashes_.push_back(h);
+    // Called by module i's codegen action, on a worker thread; one
+    // action per module runs at a time, so each slot has one writer.
+    if (moduleHashed_[module_index])
+        return moduleHashes_[module_index];
+    const ir::Module &mod = *program_->modules[module_index];
+    uint64_t h = fnv1a(mod.name);
+    h = hashCombine(h, mod.rodataBytes);
+    for (const auto &fn : mod.functions) {
+        h = fnv1a(fn->name, h);
+        h = hashCombine(h, fn->isHandAsm ? 1 : 0);
+        h = hashCombine(h, fn->hasIntegrityCheck ? 1 : 0);
+        for (const auto &bb : fn->blocks) {
+            h = hashCombine(h, bb->id);
+            h = hashCombine(h, bb->isLandingPad ? 1 : 0);
+            for (const auto &inst : bb->insts)
+                h = hashInst(h, inst);
         }
-    });
-    return moduleHashes_[module_index];
+    }
+    moduleHashes_[module_index] = h;
+    moduleHashed_[module_index] = 1;
+    return h;
 }
 
 uint64_t
@@ -502,7 +510,16 @@ Workflow::overrideProgram(ir::Program prog)
 {
     PROPELLER_CHECK(!program_,
                     "overrideProgram after the program was pulled");
-    program_ = std::move(prog);
+    setProgram(std::move(prog));
+}
+
+void
+Workflow::overrideMetadataBinary(linker::Executable exe)
+{
+    PROPELLER_CHECK(!metadataBinary_,
+                    "overrideMetadataBinary after the metadata binary "
+                    "was pulled");
+    metadataBinary_ = std::move(exe);
 }
 
 void

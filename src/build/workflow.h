@@ -51,7 +51,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -415,6 +414,19 @@ class Workflow
     void overrideProgram(ir::Program prog);
 
     /**
+     * Supply the Phase 2 metadata binary (PM) instead of linking it —
+     * the fleet service's seam for relinking a version it already
+     * built: the relink reads @p exe where it would pull Phase 2, so it
+     * compiles and links no Phase 2.  Phase 4 still takes each module
+     * the relink leaves unchanged from the object cache under its
+     * Phase 2 action key, and compiles it under that key on a miss.
+     * @p exe must be the metadata binary of the program this workflow
+     * relinks.  Must be called before the metadata binary is first
+     * pulled.
+     */
+    void overrideMetadataBinary(linker::Executable exe);
+
+    /**
      * Replace the WPA DCFG: the relink's layout runs over @p dcfg
      * instead of the DCFG mapped from the profile (see
      * core::WpaPipeline::overrideDcfg).  The fleet service injects its
@@ -565,6 +577,9 @@ class Workflow
      */
     void runRelinkGraph(RelinkStage target);
     linker::Options linkOptions();
+
+    /** Set the program and size the per-module hash memo for it. */
+    void setProgram(ir::Program prog);
     uint64_t moduleHash(size_t module_index) const;
 
     workload::WorkloadConfig config_;
@@ -575,9 +590,13 @@ class Workflow
     std::map<std::string, PhaseReport> reports_;
 
     std::optional<ir::Program> program_;
-    /** Computed once, by whichever codegen action asks first. */
-    mutable std::once_flag moduleHashesOnce_;
+    /**
+     * Per-module content hashes, each filled by its module's first
+     * codegen action: plain slots and byte flags (a bit vector would
+     * share words across modules hashed on different workers).
+     */
     mutable std::vector<uint64_t> moduleHashes_;
+    mutable std::vector<uint8_t> moduleHashed_;
     std::optional<std::vector<elf::ObjectFile>> phase2Objects_;
     std::optional<linker::Executable> baseline_;
     std::optional<linker::Executable> metadataBinary_;

@@ -1,6 +1,7 @@
 #include "elf/object.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/bytes.h"
 #include "support/check.h"
@@ -67,10 +68,22 @@ decodeFields(ByteReader &in, uint64_t size, ObjectFile &obj)
             why = "truncated byte";
         return why == nullptr;
     };
+    // serialize() writes a flag as 0 or 1; any other byte is damage.
+    auto flag = [&](bool &out) {
+        uint8_t b = 0;
+        if (!u8(b))
+            return false;
+        if (b > 1)
+            why = "flag byte is neither 0 nor 1";
+        out = b == 1;
+        return why == nullptr;
+    };
     auto u32 = [&](uint32_t &out) {
         uint64_t v = 0;
         if (!in.uleb(v))
             why = kTruncatedField;
+        else if (v > std::numeric_limits<uint32_t>::max())
+            why = "32-bit field out of range";
         else
             out = static_cast<uint32_t>(v);
         return why == nullptr;
@@ -95,25 +108,23 @@ decodeFields(ByteReader &in, uint64_t size, ObjectFile &obj)
         if (type > static_cast<uint8_t>(SectionType::Other))
             return "invalid section type " + std::to_string(type);
         sec.type = static_cast<SectionType>(type);
-        uint8_t hand_asm = 0;
         uint64_t n_pieces = 0;
-        if (!u32(sec.alignment) || !u8(hand_asm) || !bytes(sec.bytes) ||
-            !count(n_pieces, "oversized piece count"))
+        if (!u32(sec.alignment) || !flag(sec.isHandAsm) ||
+            !bytes(sec.bytes) || !count(n_pieces, "oversized piece count"))
             return why;
-        sec.isHandAsm = hand_asm != 0;
         sec.pieces.reserve(std::min(n_pieces, in.left()));
         for (uint64_t p = 0; p < n_pieces; ++p) {
             TextPiece &piece = sec.pieces.emplace_back();
-            uint8_t has_block = 0;
-            if (!u8(has_block))
+            bool has_block = false;
+            if (!flag(has_block))
                 return why;
             if (has_block) {
                 BlockMark &mark = piece.block.emplace();
                 if (!u32(mark.bbId) || !u8(mark.flags))
                     return why;
             }
-            uint8_t has_site = 0;
-            if (!bytes(piece.bytes) || !u8(has_site))
+            bool has_site = false;
+            if (!bytes(piece.bytes) || !flag(has_site))
                 return why;
             if (!has_site)
                 continue;
@@ -124,12 +135,10 @@ decodeFields(ByteReader &in, uint64_t size, ObjectFile &obj)
             if (!isa::isValidOpcode(op))
                 return "invalid branch-site opcode " + std::to_string(op);
             bs.op = static_cast<isa::Opcode>(op);
-            uint8_t fall_through = 0;
             if (!u8(bs.flags) || !u8(bs.bias) || !u32(bs.branchId) ||
                 !str(bs.targetSymbol) || !u32(bs.targetBb) ||
-                !u8(fall_through))
+                !flag(bs.isFallThrough))
                 return why;
-            bs.isFallThrough = fall_through != 0;
         }
     }
 

@@ -628,6 +628,9 @@ decodeFunctionLayout(const std::vector<uint8_t> &bytes,
         !in.le64(decoded.stats.staleSkips) || !in.le64(score_bits) ||
         !in.done())
         return false;
+    // The cold index is -1 (no cold cluster) or names a cluster.
+    if (cold != ~uint64_t{0} && cold >= nclusters)
+        return false;
     decoded.spec.coldIndex = static_cast<int>(static_cast<int64_t>(cold));
     std::memcpy(&decoded.stats.finalScore, &score_bits,
                 sizeof(score_bits));

@@ -128,7 +128,10 @@ uint64_t layoutInputDigest(const FunctionDcfg &fn,
  */
 std::vector<uint8_t> encodeFunctionLayout(const FunctionLayout &layout);
 
-/** Decode; returns false on any truncation or trailing bytes. */
+/**
+ * Decode; returns false on any truncation or trailing bytes, a block id
+ * wider than 32 bits, or a cold index that is neither -1 nor a cluster.
+ */
 bool decodeFunctionLayout(const std::vector<uint8_t> &bytes,
                           FunctionLayout &out);
 

@@ -698,8 +698,13 @@ FleetService::Impl::relink(uint32_t epoch, double metric, bool forced)
             continue;
         }
 
+        // The relink's inputs are the target's program recipe, the
+        // metadata binary built for it at construction and the image:
+        // no Phase 2 runs.  Modules the layout leaves unchanged come
+        // from the image under their Phase 2 keys.
         buildsys::Workflow wf(opts.base);
         wf.overrideProgram(makeVersionProgram(opts, target));
+        wf.overrideMetadataBinary(tv.exe);
 
         // The profile seam carries only the identity stamp: the layout
         // input is the injected combined DCFG, already in the target's

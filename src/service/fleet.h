@@ -281,7 +281,12 @@ struct RelinkRecord
     uint64_t layoutHits = 0;       ///< Layout tier: exact-key hits.
     uint64_t layoutMisses = 0;     ///< Layout tier: Ext-TSP reruns.
     uint64_t layoutPrimedHits = 0; ///< Layout tier: digest-alias hits.
-    uint64_t objectHits = 0;       ///< Object tier: codegen cache hits.
+    /**
+     * Object tier: Phase 4 modules served from the image.  The relink
+     * links against the version's metadata binary and runs no Phase 2,
+     * so no hit is on an object it built itself.
+     */
+    uint64_t objectHits = 0;
 
     /**
      * Warm hits this service *knows* the persisted image must serve

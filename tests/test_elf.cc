@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "elf/object.h"
@@ -443,6 +445,111 @@ TEST(Serialize, HostileCountsRejected)
     EXPECT_NE(obj.status().toString().find("oversized section count"),
               std::string::npos)
         << obj.status().toString();
+}
+
+/**
+ * The offset of the field @p set changes in sampleObject()'s bytes: the
+ * first byte where the object before and after @p set differ.
+ */
+template <typename Set>
+size_t
+fieldOffset(Set set)
+{
+    const std::vector<uint8_t> before = sampleObject().serialize();
+    ObjectFile changed = sampleObject();
+    set(changed);
+    const std::vector<uint8_t> after = changed.serialize();
+    return static_cast<size_t>(
+        std::mismatch(before.begin(), before.end(), after.begin(),
+                      after.end())
+            .first -
+        before.begin());
+}
+
+/** Decoding @p bytes fails as kMalformed, naming @p what. */
+void
+expectMalformed(const std::vector<uint8_t> &bytes, const std::string &what)
+{
+    auto obj = ObjectFile::deserializeChecked(bytes);
+    ASSERT_FALSE(obj.ok());
+    EXPECT_EQ(obj.status().code(), support::ErrorCode::kMalformed);
+    EXPECT_NE(obj.status().toString().find(what), std::string::npos)
+        << obj.status().toString();
+}
+
+TEST(Serialize, BooleanBytesAreZeroOrOne)
+{
+    // The hand-asm flag, the block-mark and branch-site presence bytes
+    // and the fall-through flag, each clear in sampleObject().
+    const size_t offsets[] = {
+        fieldOffset([](ObjectFile &o) { o.sections[0].isHandAsm = true; }),
+        fieldOffset([](ObjectFile &o) {
+            o.sections[1].pieces[0].block = BlockMark{};
+        }),
+        fieldOffset([](ObjectFile &o) {
+            BranchSite &site = o.sections[1].pieces[0].site.emplace();
+            site.op = isa::Opcode::JccNear;
+        }),
+        fieldOffset([](ObjectFile &o) {
+            o.sections[0].pieces[1].site->isFallThrough = true;
+        }),
+    };
+    const std::vector<uint8_t> valid = sampleObject().serialize();
+    for (size_t at : offsets) {
+        ASSERT_LT(at, valid.size());
+        ASSERT_EQ(valid[at], 0) << "offset " << at;
+        for (uint8_t b : {0x02, 0x04, 0x09, 0x81, 0xff}) {
+            std::vector<uint8_t> bytes = valid;
+            bytes[at] = b;
+            SCOPED_TRACE("offset " + std::to_string(at) + " byte " +
+                         std::to_string(b));
+            expectMalformed(bytes, "flag byte is neither 0 nor 1");
+        }
+    }
+}
+
+TEST(Serialize, ThirtyTwoBitFieldOverflowRejected)
+{
+    // Each 32-bit ULEB128 field at its largest value, then at the
+    // smallest wider ones.  UINT32_MAX and 2^32 both take five bytes.
+    using Field = uint32_t &(*)(ObjectFile &);
+    const Field fields[] = {
+        [](ObjectFile &o) -> uint32_t & { return o.sections[0].alignment; },
+        [](ObjectFile &o) -> uint32_t & {
+            return o.sections[0].pieces[0].block->bbId;
+        },
+        [](ObjectFile &o) -> uint32_t & {
+            return o.sections[0].pieces[1].site->branchId;
+        },
+        [](ObjectFile &o) -> uint32_t & {
+            return o.sections[0].pieces[1].site->targetBb;
+        },
+        [](ObjectFile &o) -> uint32_t & { return o.symbols[1].sectionIndex; },
+        [](ObjectFile &o) -> uint32_t & { return o.frames[0].codeLength; },
+        [](ObjectFile &o) -> uint32_t & { return o.debugRelocs; },
+    };
+    for (Field field : fields) {
+        ObjectFile widest = sampleObject();
+        field(widest) = UINT32_MAX;
+        const std::vector<uint8_t> valid = widest.serialize();
+        auto round = ObjectFile::deserializeChecked(valid);
+        ASSERT_TRUE(round.ok()) << round.status().toString();
+        EXPECT_EQ(field(*round), UINT32_MAX);
+        EXPECT_EQ(round->serialize(), valid);
+
+        const size_t at =
+            fieldOffset([&](ObjectFile &o) { field(o) = UINT32_MAX; });
+        ASSERT_EQ(valid[at + 4], 0x0f) << "offset " << at;
+        for (uint64_t wide : {uint64_t{1} << 32, (uint64_t{1} << 32) + 1,
+                              uint64_t{UINT64_MAX}}) {
+            std::vector<uint8_t> bytes(valid.begin(), valid.begin() + at);
+            encodeUleb128(wide, bytes);
+            bytes.insert(bytes.end(), valid.begin() + at + 5, valid.end());
+            SCOPED_TRACE("offset " + std::to_string(at) + " value " +
+                         std::to_string(wide));
+            expectMalformed(bytes, "32-bit field out of range");
+        }
+    }
 }
 
 TEST(ObjectFile, FindSection)

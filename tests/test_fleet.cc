@@ -3,8 +3,10 @@
  * Tests for the continuous-profiling fleet service (src/service): the
  * recency-weighted DecayedAggregate, shard version stamps, service
  * determinism across arrival orders and thread counts, the drift-trigger
- * property, layout-cache priming through the Workflow seams, and the
- * persisted cache image across service restarts.
+ * property, layout-cache priming through the Workflow seams, the
+ * relink against the version's metadata binary, the persisted cache
+ * image across service restarts, and the pinned shipped bytes and
+ * records of a small schedule.
  */
 
 #include <gtest/gtest.h>
@@ -290,6 +292,99 @@ TEST(FleetWorkflow, PrimedDigestHitAfterLayoutNeutralEdit)
     EXPECT_GE(warm.layoutCacheStats().hits, 1u);
 }
 
+// A relink handed the version's metadata binary runs no Phase 2; its
+// twin builds Phase 2 from the same image.  Both must ship the same
+// bytes from the same directives, verify the same and serve the same
+// layouts.  Run at 8 jobs so the relink's codegen tasks hash their
+// modules on several workers (the TSan job runs this test).
+TEST(FleetWorkflow, VersionBinaryRelinkMatchesPhase2Relink)
+{
+    ScopedImage image("test_fleet_twin.cache");
+    ScopedImage before("test_fleet_twin_before.cache");
+    fleet::FleetOptions fo = fleetOptions(image);
+    fo.base.jobs = 8;
+    fo.driftThreshold = 0.02;
+    fleet::FleetService svc(fo);
+
+    // Step to the second relink (the release retarget, warm), keeping
+    // the image as it stood before that epoch.
+    while (svc.relinks().size() < 2 && svc.epochsRun() < 10) {
+        std::remove(before.path().c_str());
+        std::vector<uint8_t> bytes;
+        if (buildsys::readFile(image.path(), bytes)) {
+            ASSERT_TRUE(buildsys::atomicWriteFile(before.path(), bytes));
+        }
+        svc.stepEpoch();
+    }
+    ASSERT_EQ(svc.relinks().size(), 2u);
+    // The service's relinks run no Phase 2, so the first, cold one has
+    // no object of its own to hit.
+    EXPECT_EQ(svc.relinks().front().objectHits, 0u);
+    const fleet::RelinkRecord &rec = svc.relinks().back();
+    ASSERT_TRUE(rec.cacheLoaded);
+    const uint32_t target = svc.targetVersion();
+
+    auto relink = [&](buildsys::Workflow &wf, bool version_binary) {
+        wf.overrideProgram(fleet::makeVersionProgram(fo, target));
+        if (version_binary)
+            wf.overrideMetadataBinary(svc.versionBinary(target));
+        profile::Profile stamp;
+        stamp.binaryHash = svc.versionBinary(target).identityHash;
+        stamp.totalRetired = 1;
+        wf.overrideProfile(std::move(stamp));
+        wf.overrideDcfg(svc.lastRelinkDcfg());
+        wf.setLayoutPrimeFunctions(svc.lastPrimeFunctions());
+        ASSERT_TRUE(wf.loadCacheFile(before.path()));
+        wf.verifyReport();
+    };
+    buildsys::Workflow given(fo.base);
+    relink(given, true);
+    buildsys::Workflow built(fo.base);
+    relink(built, false);
+    EXPECT_FALSE(given.hasReport("phase2.codegen"));
+    ASSERT_TRUE(built.hasReport("phase2.codegen"));
+    EXPECT_EQ(built.metadataBinary().text, svc.versionBinary(target).text);
+    EXPECT_EQ(built.metadataBinary().identityHash,
+              svc.versionBinary(target).identityHash);
+
+    const linker::Executable &a = given.propellerBinary();
+    const linker::Executable &b = built.propellerBinary();
+    EXPECT_EQ(a.text, b.text);
+    EXPECT_EQ(a.identityHash, b.identityHash);
+    EXPECT_EQ(a.entryAddress, b.entryAddress);
+    EXPECT_EQ(a.symbols.size(), b.symbols.size());
+    EXPECT_EQ(a.sizes.total(), b.sizes.total());
+    EXPECT_EQ(a.text, svc.shippedBinary().text);
+    EXPECT_EQ(given.verifiedBinary().bbAddrMap.size(),
+              built.verifiedBinary().bbAddrMap.size());
+
+    EXPECT_EQ(given.wpa().ccProf.serialize(), built.wpa().ccProf.serialize());
+    EXPECT_EQ(given.wpa().ldProf.serialize(), built.wpa().ldProf.serialize());
+
+    const analysis::VerifyReport &va = given.verifyReport();
+    const analysis::VerifyReport &vb = built.verifyReport();
+    auto rendered = [](const analysis::VerifyReport &rep) {
+        std::vector<std::string> lines;
+        for (const auto &diag : rep.engine.diagnostics())
+            lines.push_back(diag.render());
+        return lines;
+    };
+    EXPECT_TRUE(va.clean());
+    EXPECT_EQ(rendered(va), rendered(vb));
+    EXPECT_EQ(va.functionsChecked, vb.functionsChecked);
+    EXPECT_EQ(va.rangesDecoded, vb.rangesDecoded);
+    EXPECT_EQ(va.instructionsDecoded, vb.instructionsDecoded);
+    EXPECT_EQ(va.bytesVerified, vb.bytesVerified);
+
+    for (const buildsys::Workflow *wf : {&given, &built}) {
+        const buildsys::CacheStats &ls = wf->layoutCacheStats();
+        EXPECT_EQ(ls.hits, rec.layoutHits);
+        EXPECT_EQ(ls.misses, rec.layoutMisses);
+        EXPECT_EQ(ls.primedHits, rec.layoutPrimedHits);
+    }
+    EXPECT_GT(rec.layoutHits, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Persisted cache image across service restarts
 
@@ -312,6 +407,61 @@ TEST(FleetService, RestartedServiceRelinksFullyWarm)
     EXPECT_TRUE(r.cacheLoaded);
     EXPECT_GT(r.layoutHits, 0u);
     EXPECT_EQ(r.layoutMisses, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Shipped bytes and relink records, pinned
+
+/**
+ * One digest over every relink of a small 3-version schedule (a cold
+ * first relink, the release retarget, warm drift relinks and two forced
+ * ones, the second fully warm): its target, shipped text, generation,
+ * whether the image seeded it, and the layout tier's hits, misses and
+ * primed hits.  The object tier's hit count is left out on purpose: it
+ * says where the relink found its objects, not what it shipped.
+ */
+TEST(FleetGolden, ShippedBinariesAndRecords)
+{
+    ScopedImage image("test_fleet_golden.cache");
+    fleet::FleetOptions fo = fleetOptions(image);
+    fo.driftThreshold = 0.02;
+    fleet::FleetService svc(std::move(fo));
+
+    test::Digest d;
+    uint32_t loaded = 0;
+    auto addRelink = [&] {
+        const fleet::RelinkRecord &r = svc.relinks().back();
+        const std::vector<uint8_t> &text = svc.shippedBinary().text;
+        d.add(r.epoch);
+        d.add(svc.targetVersion());
+        d.add(std::string(text.begin(), text.end()));
+        d.add(r.generation);
+        d.add(r.cacheLoaded ? 1 : 0);
+        d.add(r.layoutHits);
+        d.add(r.layoutMisses);
+        d.add(r.layoutPrimedHits);
+        loaded += r.cacheLoaded ? 1 : 0;
+    };
+    size_t seen = 0;
+    for (int e = 0; e < 10; ++e) {
+        svc.stepEpoch();
+        if (svc.relinks().size() == seen)
+            continue;
+        seen = svc.relinks().size();
+        addRelink();
+    }
+    // The second forced relink sees the first one's DCFG: fully warm.
+    for (int forced = 0; forced < 2; ++forced) {
+        svc.relinkNow();
+        addRelink();
+    }
+
+    EXPECT_GE(svc.relinks().size(), 5u);
+    EXPECT_EQ(loaded, svc.relinks().size() - 1);
+    EXPECT_GT(svc.relinks().back().layoutHits, 0u);
+    EXPECT_EQ(svc.relinks().back().layoutMisses, 0u);
+    EXPECT_EQ(d.value(), 0xf95db375b45654f3ull)
+        << "0x" << std::hex << d.value();
 }
 
 // ---------------------------------------------------------------------

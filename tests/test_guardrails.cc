@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "build/workflow.h"
 #include "codegen/codegen.h"
 #include "linker/linker.h"
 #include "test_util.h"
@@ -57,6 +58,17 @@ TEST(GuardrailsDeathTest, LinkerRejectsMissingEntry)
     linker::Options opts;
     opts.entrySymbol = "nonexistent";
     EXPECT_DEATH(linker::link(objects, opts), "entry symbol");
+}
+
+// Workflow input seams are PROPELLER_CHECKs too: an override after its
+// product was pulled would leave products built from different inputs.
+TEST(GuardrailsDeathTest, MetadataBinaryOverrideMustPrecedeThePull)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    buildsys::Workflow wf(test::smallConfig());
+    linker::Executable pm = wf.metadataBinary();
+    EXPECT_DEATH(wf.overrideMetadataBinary(pm),
+                 "overrideMetadataBinary after the metadata binary");
 }
 
 // The codegen guardrails are plain asserts (cluster specs reaching the

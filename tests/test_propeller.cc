@@ -10,6 +10,7 @@
 #include <set>
 
 #include "build/workflow.h"
+#include "support/bytes.h"
 #include "support/rng.h"
 #include "codegen/codegen.h"
 #include "linker/linker.h"
@@ -661,6 +662,41 @@ TEST(Directives, CommentsIgnored)
     ASSERT_TRUE(LdProfile::parse("# comment\nmain\n\nwork\n", parsed));
     EXPECT_EQ(parsed.symbolOrder,
               (std::vector<std::string>{"main", "work"}));
+}
+
+// ---- Encoded layouts (the layout memo tier) --------------------------
+
+TEST(LayoutCodec, ColdIndexOutsideClustersRejected)
+{
+    FunctionLayout layout;
+    layout.spec.clusters = {{0, 3, 5}, {1}, {2, 4}};
+    layout.stats.merges = 4;
+    layout.stats.finalScore = 12.5;
+    const uint64_t nclusters = layout.spec.clusters.size();
+
+    // The cold index is the word after the clusters, before the six
+    // stats words.
+    const std::vector<uint8_t> valid = encodeFunctionLayout(layout);
+    const size_t cold_at = valid.size() - 7 * 8;
+    const uint64_t bad[] = {nclusters, (uint64_t{1} << 32) + 1,
+                            ~uint64_t{0} - 1};
+    for (uint64_t cold : bad) {
+        std::vector<uint8_t> bytes = valid;
+        putLe64(cold, bytes.data() + cold_at);
+        FunctionLayout out;
+        EXPECT_FALSE(decodeFunctionLayout(bytes, out))
+            << "cold word 0x" << std::hex << cold;
+    }
+
+    for (int cold = -1; cold < static_cast<int>(nclusters); ++cold) {
+        layout.spec.coldIndex = cold;
+        const std::vector<uint8_t> bytes = encodeFunctionLayout(layout);
+        FunctionLayout out;
+        ASSERT_TRUE(decodeFunctionLayout(bytes, out)) << "cold " << cold;
+        EXPECT_EQ(out.spec.coldIndex, cold);
+        EXPECT_EQ(out.spec.clusters, layout.spec.clusters);
+        EXPECT_EQ(encodeFunctionLayout(out), bytes) << "cold " << cold;
+    }
 }
 
 // ---- Whole-program analysis ----------------------------------------

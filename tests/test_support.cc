@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -160,6 +161,38 @@ TEST(Hash, CombineOrderMatters)
     uint64_t h = kFnvOffset;
     EXPECT_NE(hashCombine(hashCombine(h, 1), 2),
               hashCombine(hashCombine(h, 2), 1));
+}
+
+TEST(HashCombine, MatchesByteSerialFnv1a)
+{
+    // The reference: FNV-1a one byte at a time over the value's 8 bytes
+    // in memory order, as every key and golden digest was made.
+    auto reference = [](uint64_t h, uint64_t v) {
+        uint8_t bytes[sizeof(v)];
+        std::memcpy(bytes, &v, sizeof(v));
+        for (uint8_t b : bytes)
+            h = (h ^ b) * kFnvPrime;
+        return h;
+    };
+    std::vector<uint64_t> values = {0, ~0ull, 0xff00000000000001ull,
+                                    0x8000000000000080ull,
+                                    0x0001000000010000ull};
+    for (int bytes = 1; bytes <= 8; ++bytes) {
+        const int top = 8 * bytes - 1;
+        values.push_back(1ull << top);         // One high bit.
+        values.push_back(~0ull >> (63 - top)); // All ones.
+        values.push_back((1ull << top) | 1);   // Zero middle bytes.
+    }
+    Rng rng(0x5eed);
+    for (int i = 0; i < 10'000; ++i)
+        values.push_back(rng.next() >> rng.below(64));
+
+    const uint64_t seeds[] = {kFnvOffset, 0, 0x0123456789abcdefull};
+    for (uint64_t h : seeds) {
+        for (uint64_t v : values)
+            ASSERT_EQ(hashCombine(h, v), reference(h, v))
+                << std::hex << "h 0x" << h << " v 0x" << v;
+    }
 }
 
 TEST(Hash, DigestIsFixedWidthHex)

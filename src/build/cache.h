@@ -15,9 +15,8 @@
  * pay for backends again.
  *
  * Keys are 64-bit content fingerprints (FNV-1a over the module IR plus
- * the layout/prefetch directives that affect it — see
- * Workflow's action fingerprinting).  Values are serialized
- * elf::ObjectFile byte images.
+ * the layout directives that affect it — see Workflow's action
+ * fingerprinting).  Values are serialized elf::ObjectFile byte images.
  *
  * Integrity: every entry stores a checksum of its bytes (XXH64, see
  * support/hash.h; keys stay FNV-1a), computed at put() time.  lookup()

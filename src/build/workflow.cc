@@ -153,7 +153,6 @@ Workflow::moduleHash(size_t module_index) const
 uint64_t
 Workflow::actionKey(size_t module_index,
                     const codegen::ClusterMap *clusters,
-                    const core::PrefetchMap *prefetches,
                     bool emit_addr_map) const
 {
     const ir::Module &mod = *program_->modules[module_index];
@@ -162,9 +161,8 @@ Workflow::actionKey(size_t module_index,
 
     // Only the directives that *apply to this module* enter the
     // fingerprint.  A module none of whose functions have cluster
-    // directives (and none of whose load sites are prefetch targets)
-    // keeps its Phase 2 fingerprint — that is the content-cache property
-    // Phase 4 relies on.
+    // directives keeps its Phase 2 fingerprint — that is the
+    // content-cache property Phase 4 relies on.
     if (clusters) {
         for (const auto &fn : mod.functions) {
             auto it = clusters->find(fn->name);
@@ -179,33 +177,16 @@ Workflow::actionKey(size_t module_index,
             }
         }
     }
-    if (prefetches) {
-        for (const auto &fn : mod.functions) {
-            for (const auto &bb : fn->blocks) {
-                for (const auto &inst : bb->insts) {
-                    if (inst.kind != ir::InstKind::Load)
-                        continue;
-                    auto it = prefetches->find(
-                        static_cast<uint16_t>(inst.imm));
-                    if (it == prefetches->end())
-                        continue;
-                    key = hashCombine(key, it->first);
-                    key = hashCombine(key, it->second);
-                }
-            }
-        }
-    }
     return key;
 }
 
 Workflow::ModuleBuild
 Workflow::buildModule(size_t i, const codegen::ClusterMap *clusters,
-                      const core::PrefetchMap *prefetches,
                       elf::ObjectFile &object)
 {
     const ir::Module &mod = *program_->modules[i];
     ModuleBuild built;
-    built.key = actionKey(i, clusters, prefetches, true);
+    built.key = actionKey(i, clusters, true);
 
     // A hit must survive both the cache's byte-hash check (lookup
     // returns nullptr on mismatch) and structural deserialization;
@@ -229,7 +210,6 @@ Workflow::buildModule(size_t i, const codegen::ClusterMap *clusters,
         copts.bbSections = codegen::BbSectionsMode::Clusters;
         copts.clusters = clusters;
     }
-    copts.prefetches = prefetches;
     object = codegen::compileModule(mod, copts);
     built.stored = object.serialize();
     return built;
@@ -251,7 +231,7 @@ Workflow::commitModule(size_t i, ModuleBuild &built, CompileBatch &batch)
     const ir::Module &mod = *program_->modules[i];
     const uint64_t insts = moduleInsts(mod);
     const double base =
-        static_cast<double>(insts) * cost_.backendSecPerInst;
+        static_cast<double>(insts) * CostModel::backendSecPerInst;
 
     // Transient executor failures (injected via hooks) are retried with
     // deterministic exponential backoff; each failed attempt pays the
@@ -283,8 +263,7 @@ Workflow::commitModule(size_t i, ModuleBuild &built, CompileBatch &batch)
 }
 
 Workflow::CompileBatch
-Workflow::compileModules(const codegen::ClusterMap *clusters,
-                         const core::PrefetchMap *prefetches)
+Workflow::compileModules(const codegen::ClusterMap *clusters)
 {
     const ir::Program &prog = program();
     const size_t n = prog.modules.size();
@@ -309,7 +288,7 @@ Workflow::compileModules(const codegen::ClusterMap *clusters,
     // the same hits, misses and corruptions.
     std::vector<ModuleBuild> built(n);
     sched::parallelFor(config_.jobs, n, [&](size_t i) {
-        built[i] = buildModule(i, clusters, prefetches, batch.objects[i]);
+        built[i] = buildModule(i, clusters, batch.objects[i]);
     });
     for (size_t i = 0; i < n; ++i)
         commitModule(i, built[i], batch);
@@ -363,9 +342,9 @@ Workflow::makeLinkReport(const std::string &phase,
         // Cold cache hits stream from the content store; fresh
         // outputs must be gathered from the workers that built them.
         cost += bytes * (cached.count(obj.name)
-                             ? cost_.fetchCachedSecPerByte
-                             : cost_.fetchFreshSecPerByte);
-        cost += bytes * cost_.linkSecPerByte;
+                             ? CostModel::fetchCachedSecPerByte
+                             : CostModel::fetchFreshSecPerByte);
+        cost += bytes * CostModel::linkSecPerByte;
     }
     PhaseReport report;
     report.phase = phase;
@@ -419,7 +398,7 @@ Workflow::phase2Objects()
             for (const auto &mod : prog.modules) {
                 uint64_t insts = moduleInsts(*mod);
                 costs.push_back(static_cast<double>(insts) *
-                                cost_.irGenSecPerInst);
+                                CostModel::irGenSecPerInst);
                 peak = std::max(peak, insts * 96);
             }
             PhaseReport report;
@@ -433,7 +412,7 @@ Workflow::phase2Objects()
 
         // Phase 2: every backend runs (the cache is empty), with BB
         // address map metadata attached.
-        CompileBatch batch = compileModules(nullptr, nullptr);
+        CompileBatch batch = compileModules(nullptr);
         recordCodegenReport("phase2.codegen", batch);
         phase2Objects_ = std::move(batch.objects);
 
@@ -622,9 +601,9 @@ Workflow::recordWpaReport()
     report.phase = "phase3.wpa";
     report.makespanSec = cost_.makespan(
         {static_cast<double>(wpa_->stats.profileBytes) *
-             cost_.wpaSecPerProfileByte +
+             CostModel::wpaSecPerProfileByte +
          static_cast<double>(wpa_->stats.hotFunctions) *
-             cost_.wpaSecPerHotFunction},
+             CostModel::wpaSecPerHotFunction},
         1);
     report.actions = 1;
     report.peakActionMemory = wpa_->stats.peakMemory;
@@ -687,7 +666,7 @@ Workflow::recordVerifyReport(const std::string &phase,
     PhaseReport report;
     report.phase = phase;
     report.makespanSec = cost_.makespan(
-        {static_cast<double>(rep.bytesVerified) * cost_.verifySecPerByte},
+        {static_cast<double>(rep.bytesVerified) * CostModel::verifySecPerByte},
         1);
     report.actions = 1;
     // Decoded instruction stream plus the per-range bookkeeping.
@@ -791,7 +770,7 @@ Workflow::runRelinkGraph(RelinkStage target)
             std::max<size_t>(1, limits_.workers * 4);
         const double dcfg_cost =
             static_cast<double>(prof.sizeInBytes()) *
-            cost_.wpaSecPerProfileByte;
+            CostModel::wpaSecPerProfileByte;
 
         sched::TaskId prepareTask = graph.add(
             [&] { pipe->prepare(); },
@@ -839,7 +818,7 @@ Workflow::runRelinkGraph(RelinkStage target)
             [&] {
                 graph.setCost(
                     orderTask,
-                    cost_.wpaSecPerHotFunction *
+                    CostModel::wpaSecPerHotFunction *
                         static_cast<double>(pipe->functionCount()) *
                         0.1);
                 order = pipe->globalOrder();
@@ -956,7 +935,7 @@ Workflow::runRelinkGraph(RelinkStage target)
                             }
                         },
                         {"layout:" + fn.function, "phase3.wpa",
-                         cost_.wpaSecPerHotFunction *
+                         CostModel::wpaSecPerHotFunction *
                              static_cast<double>(nfn) * share},
                         {applyTask});
                     graph.addEdge(layoutTask[f], mergeTask);
@@ -1025,7 +1004,7 @@ Workflow::runRelinkGraph(RelinkStage target)
                     std::vector<std::string> dropped =
                         codegen::sanitizeClusterMap(prog, submap);
                     ModuleBuild built =
-                        buildModule(i, &submap, nullptr, batch.objects[i]);
+                        buildModule(i, &submap, batch.objects[i]);
                     isHit[i] = built.hit ? 1 : 0;
 
                     // Order-sensitive side effects (cache population,
@@ -1067,9 +1046,9 @@ Workflow::runRelinkGraph(RelinkStage target)
                         assembleTask[i],
                         static_cast<double>(
                             batch.objects[i].sizeInBytes()) *
-                            ((isHit[i] ? cost_.fetchCachedSecPerByte
-                                       : cost_.fetchFreshSecPerByte) +
-                             cost_.linkSecPerByte));
+                            ((isHit[i] ? CostModel::fetchCachedSecPerByte
+                                       : CostModel::fetchFreshSecPerByte) +
+                             CostModel::linkSecPerByte));
                 },
                 {"assemble:" + prog.modules[i]->name, "phase4.link",
                  0.0});
@@ -1131,7 +1110,7 @@ Workflow::runRelinkGraph(RelinkStage target)
                     }
                     graph.setCost(decodeTask[c],
                                   static_cast<double>(bytes) *
-                                      cost_.verifySecPerByte * 0.7);
+                                      CostModel::verifySecPerByte * 0.7);
                 },
                 {"decode#" + std::to_string(c), "phase5.verify", 0.0});
             graph.addEdge(setupTask, decodeTask[c]);
@@ -1157,7 +1136,7 @@ Workflow::runRelinkGraph(RelinkStage target)
                         verifier->checkAddrMap(m);
                     graph.setCost(checkTask[c],
                                   static_cast<double>(bytes) *
-                                      cost_.verifySecPerByte * 0.3);
+                                      CostModel::verifySecPerByte * 0.3);
                 },
                 {"check#" + std::to_string(c), "phase5.verify", 0.0});
             for (size_t d = 0; d < chunks; ++d)
@@ -1250,8 +1229,7 @@ Workflow::propellerBinaryWith(const core::LayoutOptions &opts,
 
     // A Phase-4-style rebuild that shares the content cache but leaves
     // the canonical pipeline's reports untouched.
-    CompileBatch batch =
-        compileModules(&result.ccProf.clusters, nullptr);
+    CompileBatch batch = compileModules(&result.ccProf.clusters);
     linker::Options lopts = linkOptions();
     lopts.outputName = config_.name + ".po-ablation";
     lopts.symbolOrder = result.ldProf.symbolOrder;
@@ -1260,37 +1238,6 @@ Workflow::propellerBinaryWith(const core::LayoutOptions &opts,
         linkWithReport(batch.objects, lopts, "", batch.cachedNames);
     if (wpa_out)
         *wpa_out = std::move(result);
-    return exe;
-}
-
-linker::Executable
-Workflow::propellerBinaryWithPrefetch(core::PrefetchMap *directives_out)
-{
-    // Collect a PEBS-style miss profile running the optimized binary.
-    sim::MachineOptions mopts = workload::evalOptions(config_);
-    mopts.modelDataCache = true;
-    mopts.collectMissProfile = true;
-    sim::RunResult run = sim::run(propellerBinary(), mopts);
-
-    core::PrefetchMap directives =
-        core::computePrefetchDirectives(run.missProfile);
-
-    // Re-run backends: only modules containing targeted load sites have
-    // a changed action fingerprint; everything else is a cache hit
-    // (including the Phase 4 hot objects, stored under their
-    // directive-carrying keys).
-    CompileBatch batch =
-        compileModules(&wpa().ccProf.clusters, &directives);
-    recordCodegenReport("prefetch.codegen", batch);
-
-    linker::Options lopts = linkOptions();
-    lopts.outputName = config_.name + ".po-prefetch";
-    lopts.symbolOrder = wpa().ldProf.symbolOrder;
-    lopts.stripAddrMaps = true;
-    linker::Executable exe = linkWithReport(
-        batch.objects, lopts, "prefetch.link", batch.cachedNames);
-    if (directives_out)
-        *directives_out = std::move(directives);
     return exe;
 }
 
@@ -1310,7 +1257,7 @@ Workflow::iterativePropellerBinary()
     core::WpaResult wpa2 = core::runWholeProgramAnalysis(
         pm2, prof2, core::LayoutOptions{}, config_.jobs);
 
-    CompileBatch batch = compileModules(&wpa2.ccProf.clusters, nullptr);
+    CompileBatch batch = compileModules(&wpa2.ccProf.clusters);
     linker::Options po2_opts = linkOptions();
     po2_opts.outputName = config_.name + ".po2";
     po2_opts.symbolOrder = wpa2.ldProf.symbolOrder;
@@ -1334,9 +1281,9 @@ Workflow::boltBinary(const bolt::BoltOptions &opts, bolt::BoltStats *stats)
         report.phase = "bolt.convert";
         report.makespanSec = cost_.makespan(
             {static_cast<double>(profile().sizeInBytes()) *
-                 cost_.wpaSecPerProfileByte +
+                 CostModel::wpaSecPerProfileByte +
              static_cast<double>(local.disassembledInsts) *
-                 cost_.boltSecPerInst * 0.4},
+                 CostModel::boltSecPerInst * 0.4},
             1);
         report.actions = 1;
         report.peakActionMemory = local.convertPeakMemory;
@@ -1351,9 +1298,9 @@ Workflow::boltBinary(const bolt::BoltOptions &opts, bolt::BoltStats *stats)
         // whole binary on a single machine.
         report.makespanSec = cost_.makespan(
             {static_cast<double>(local.disassembledInsts) *
-                 cost_.boltSecPerInst +
+                 CostModel::boltSecPerInst +
              static_cast<double>(local.newTextBytes) *
-                 cost_.linkSecPerByte},
+                 CostModel::linkSecPerByte},
             1);
         report.actions = 1;
         report.peakActionMemory = local.optPeakMemory;
@@ -1402,15 +1349,15 @@ Workflow::instrumentedBuildReport()
         // Instrumentation bloats every backend action; counters and
         // value-profiling tables compile alongside the real code.
         costs.push_back(static_cast<double>(insts) *
-                        cost_.backendSecPerInst *
-                        cost_.instrumentFactor);
+                        CostModel::backendSecPerInst *
+                        CostModel::instrumentFactor);
         total_bytes += insts * 6;
         peak = std::max(peak, codegenActionMemory(insts, insts * 6));
     }
     // Plus the instrumented link (all outputs fresh, bloated inputs).
     double link_cost =
         static_cast<double>(total_bytes) *
-        (cost_.fetchFreshSecPerByte + cost_.linkSecPerByte) * 1.3;
+        (CostModel::fetchFreshSecPerByte + CostModel::linkSecPerByte) * 1.3;
     costs.push_back(link_cost);
 
     PhaseReport report;

@@ -42,8 +42,8 @@
  * failure attribution) commit through an OrderedSink in module order,
  * so artifacts, reports and cache statistics are byte-identical at any
  * thread count.  Every codegen
- * action — Phase 2, the relink, and the prefetch, ablation and
- * iterative rebuilds — runs the same build step and in-order commit.
+ * action — Phase 2, the relink, and the ablation and iterative
+ * rebuilds — runs the same build step and in-order commit.
  * relinkSchedule() exposes the modelled schedule: critical path,
  * makespan, parallel efficiency, steals.
  */
@@ -65,7 +65,6 @@
 #include "linker/executable.h"
 #include "linker/linker.h"
 #include "profile/profile.h"
-#include "propeller/prefetch.h"
 #include "propeller/propeller.h"
 #include "sched/sched.h"
 #include "workload/workload.h"
@@ -117,16 +116,21 @@ struct CostModel
     double actionOverheadSec = 0.5;
 
     // ---- Calibration constants (modelled seconds) -------------------
-    double irGenSecPerInst = 2e-4;      ///< Phase 1 per IR instruction.
-    double backendSecPerInst = 6e-4;    ///< Codegen per IR instruction.
-    double instrumentFactor = 1.45;     ///< Instrumented-build slowdown.
-    double linkSecPerByte = 8e-6;       ///< Link work per input byte.
-    double fetchFreshSecPerByte = 25e-6; ///< Stream a just-built object.
-    double fetchCachedSecPerByte = 3e-6; ///< Stream a cache-hit object.
-    double wpaSecPerProfileByte = 2e-5; ///< Profile conversion rate.
-    double wpaSecPerHotFunction = 0.02; ///< Layout per hot function.
-    double boltSecPerInst = 2e-5;       ///< BOLT disassembly+rewrite.
-    double verifySecPerByte = 4e-6;     ///< Phase 5 disassembly+checks.
+    // Per IR instruction: Phase 1, codegen, BOLT disassembly+rewrite.
+    static constexpr double irGenSecPerInst = 2e-4;
+    static constexpr double backendSecPerInst = 6e-4;
+    static constexpr double boltSecPerInst = 2e-5;
+    /** Instrumented-build slowdown. */
+    static constexpr double instrumentFactor = 1.45;
+    // Per byte: link work per input byte, streaming a just-built or a
+    // cache-hit object, profile conversion, Phase 5 disassembly+checks.
+    static constexpr double linkSecPerByte = 8e-6;
+    static constexpr double fetchFreshSecPerByte = 25e-6;
+    static constexpr double fetchCachedSecPerByte = 3e-6;
+    static constexpr double wpaSecPerProfileByte = 2e-5;
+    static constexpr double verifySecPerByte = 4e-6;
+    /** Layout per hot function. */
+    static constexpr double wpaSecPerHotFunction = 0.02;
 
     /** Makespan of @p costs (seconds each) on @p workers workers. */
     double makespan(const std::vector<double> &costs,
@@ -288,16 +292,6 @@ class Workflow
     linker::Executable propellerBinaryWith(const core::LayoutOptions &opts,
                                            core::WpaResult *wpa_out =
                                                nullptr);
-
-    /**
-     * The section 3.5 extension: profile PO's data-cache misses, compute
-     * prefetch directives, and re-run backends for the affected modules
-     * only (report "prefetch.codegen"; unaffected modules stay cache
-     * hits).
-     * @param directives_out optional: receives the prefetch directives.
-     */
-    linker::Executable propellerBinaryWithPrefetch(
-        core::PrefetchMap *directives_out = nullptr);
 
     /**
      * Second Propeller round (section 4.6 closing note): re-profile the
@@ -475,7 +469,6 @@ class Workflow
     /** Fingerprint of one codegen action (module + directives). */
     uint64_t actionKey(size_t module_index,
                        const codegen::ClusterMap *clusters,
-                       const core::PrefetchMap *prefetches,
                        bool emit_addr_map) const;
 
     /**
@@ -485,7 +478,6 @@ class Workflow
      * @p object.  @p clusters must already be sanitized.
      */
     ModuleBuild buildModule(size_t i, const codegen::ClusterMap *clusters,
-                            const core::PrefetchMap *prefetches,
                             elf::ObjectFile &object);
 
     /**
@@ -502,8 +494,7 @@ class Workflow
      * buildModule() in parallel (jobs threads), then commitModule() in
      * module order.
      */
-    CompileBatch compileModules(const codegen::ClusterMap *clusters,
-                                const core::PrefetchMap *prefetches);
+    CompileBatch compileModules(const codegen::ClusterMap *clusters);
 
     /**
      * Record a codegen-batch report under @p phase.  Failure lines:

@@ -125,19 +125,8 @@ planSections(const ir::Function &fn, const Options &opts)
 
 /** Encode a non-control-flow IR instruction into @p out. */
 void
-encodeBodyInst(const ir::Inst &inst, const Options &opts,
-               std::vector<uint8_t> &out)
+encodeBodyInst(const ir::Inst &inst, std::vector<uint8_t> &out)
 {
-    if (inst.kind == ir::InstKind::Load && opts.prefetches) {
-        auto it = opts.prefetches->find(static_cast<uint16_t>(inst.imm));
-        if (it != opts.prefetches->end()) {
-            isa::Instruction pf;
-            pf.op = isa::Opcode::Prefetch;
-            pf.imm = it->first;
-            pf.reg = it->second;
-            pf.encode(out);
-        }
-    }
     isa::Instruction m;
     switch (inst.kind) {
       case ir::InstKind::Work:
@@ -192,8 +181,7 @@ handAsmDataBlob(const std::string &fn_name)
 /** Emit the machine code for one planned section of @p fn. */
 Section
 emitSection(const ir::Function &fn, const SectionPlan &plan,
-            const std::unordered_map<uint32_t, std::string> &section_of,
-            const Options &opts)
+            const std::unordered_map<uint32_t, std::string> &section_of)
 {
     Section sec;
     sec.name = ".text." + plan.symbol;
@@ -235,7 +223,7 @@ emitSection(const ir::Function &fn, const SectionPlan &plan,
                 call.targetBb = elf::kSectionStart;
                 flush(std::move(call));
             } else {
-                encodeBodyInst(inst, opts, piece.bytes);
+                encodeBodyInst(inst, piece.bytes);
             }
         }
 
@@ -391,7 +379,7 @@ compileModule(const ir::Module &mod, const Options &opts)
         }
 
         for (const auto &plan : plans) {
-            Section sec = emitSection(*fn, plan, section_of, opts);
+            Section sec = emitSection(*fn, plan, section_of);
             uint32_t section_index =
                 static_cast<uint32_t>(obj.sections.size());
 

@@ -106,14 +106,6 @@ struct Options
      * debug builds enormous (section 5.3).
      */
     bool emitDebugInfo = false;
-
-    /**
-     * Section 3.5 software-prefetch directives: load-site id ->
-     * lookahead.  Loads whose site appears here get a Prefetch emitted
-     * immediately before them.  Only modules containing targeted sites
-     * produce different objects, preserving cache reuse.
-     */
-    const std::map<uint16_t, uint8_t> *prefetches = nullptr;
 };
 
 /** Compile one module to an object file. */

@@ -54,7 +54,6 @@ Instruction::sizeOf(Opcode op)
         return 3;
       case Opcode::Load:
       case Opcode::Store:
-      case Opcode::Prefetch:
         return 4;
       case Opcode::JmpNear:
       case Opcode::Call:
@@ -91,7 +90,6 @@ Instruction::encode(std::vector<uint8_t> &out) const
         break;
       case Opcode::Load:
       case Opcode::Store:
-      case Opcode::Prefetch:
         out.push_back(reg);
         put16(out, imm & 0xffff);
         break;
@@ -137,7 +135,6 @@ isValidOpcode(uint8_t byte)
       case Opcode::JccShort:
       case Opcode::JccNear:
       case Opcode::Call:
-      case Opcode::Prefetch:
         return true;
       default:
         return false;
@@ -174,7 +171,6 @@ decode(const uint8_t *data, size_t avail)
         break;
       case Opcode::Load:
       case Opcode::Store:
-      case Opcode::Prefetch:
         inst.reg = data[1];
         inst.imm = get16(data + 2);
         break;
@@ -236,9 +232,6 @@ Instruction::toString() const
         return buf;
       case Opcode::Store:
         std::snprintf(buf, sizeof(buf), "store r%u, [%u]", reg, imm);
-        return buf;
-      case Opcode::Prefetch:
-        std::snprintf(buf, sizeof(buf), "prefetch site=%u +%u", imm, reg);
         return buf;
       case Opcode::JmpShort:
         std::snprintf(buf, sizeof(buf), "jmp.s %+d", rel);

@@ -48,7 +48,6 @@ enum class Opcode : uint8_t {
     JccShort = 0x70, ///< 8 bytes: op, flags, bias, id32, rel8.
     JccNear = 0x71,  ///< 11 bytes: op, flags, bias, id32, rel32.
     Call = 0xE8,     ///< 5 bytes: op, rel32.
-    Prefetch = 0x18, ///< 4 bytes: op, lookahead, site16.  Software prefetch.
 };
 
 /** Flag bits in the Jcc flags byte. */
@@ -77,8 +76,7 @@ struct Instruction
     uint8_t reg = 0;       ///< Register operand for Alu/Load/Store.
     uint8_t flags = 0;     ///< JccFlags for conditional branches.
     uint8_t bias = 0;      ///< P(logical taken) in 1/256 units.
-    uint32_t imm = 0;      ///< ALU immediate, displacement, or, for
-                           ///< Prefetch, the target load-site id.
+    uint32_t imm = 0;      ///< ALU immediate or displacement.
     int32_t rel = 0;       ///< Branch displacement from end of instruction.
     uint32_t branchId = 0; ///< Layout-invariant conditional-branch identity.
 
@@ -102,7 +100,6 @@ struct Instruction
 
     bool isCall() const { return op == Opcode::Call; }
     bool isRet() const { return op == Opcode::Ret; }
-    bool isPrefetch() const { return op == Opcode::Prefetch; }
 
     /** True for any control transfer (jumps, calls, returns, halt). */
     bool

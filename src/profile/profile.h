@@ -258,22 +258,6 @@ private:
     uint64_t epochs_ = 0;
 };
 
-/**
- * PEBS-style data-cache miss profile (for the paper's section 3.5
- * software-prefetch extension): sampled miss counts per load site.
- */
-struct MissProfile
-{
-    std::unordered_map<uint16_t, uint64_t> siteMisses;
-    uint64_t totalSamples = 0;
-
-    uint64_t
-    sizeInBytes() const
-    {
-        return 32 + siteMisses.size() * 10ull;
-    }
-};
-
 } // namespace propeller::profile
 
 #endif // PROPELLER_PROFILE_PROFILE_H

@@ -29,52 +29,6 @@ CcProfile::serialize() const
     return os.str();
 }
 
-bool
-CcProfile::parse(const std::string &text, CcProfile &out)
-{
-    CcProfile result;
-    std::istringstream is(text);
-    std::string line;
-    std::string current;
-    while (std::getline(is, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        if (line.rfind("!!", 0) == 0) {
-            if (current.empty())
-                return false;
-            codegen::ClusterSpec &spec = result.clusters[current];
-            std::string payload = line.substr(2);
-            bool cold = payload.rfind("cold", 0) == 0;
-            if (cold)
-                payload = payload.substr(4);
-            std::istringstream ls(payload);
-            std::vector<uint32_t> ids;
-            uint32_t id;
-            while (ls >> id)
-                ids.push_back(id);
-            if (ids.empty())
-                return false;
-            if (cold)
-                spec.coldIndex = static_cast<int>(spec.clusters.size());
-            spec.clusters.push_back(std::move(ids));
-        } else if (line[0] == '!') {
-            current = line.substr(1);
-            if (current.empty())
-                return false;
-            result.clusters[current]; // Create the (possibly empty) entry.
-        } else {
-            return false;
-        }
-    }
-    // Reject functions with no clusters.
-    for (const auto &[fn, spec] : result.clusters) {
-        if (spec.clusters.empty())
-            return false;
-    }
-    out = std::move(result);
-    return true;
-}
-
 std::string
 LdProfile::serialize() const
 {
@@ -82,21 +36,6 @@ LdProfile::serialize() const
     for (const auto &sym : symbolOrder)
         os << sym << "\n";
     return os.str();
-}
-
-bool
-LdProfile::parse(const std::string &text, LdProfile &out)
-{
-    LdProfile result;
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        result.symbolOrder.push_back(line);
-    }
-    out = std::move(result);
-    return true;
 }
 
 } // namespace propeller::core

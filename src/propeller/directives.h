@@ -33,12 +33,6 @@ struct CcProfile
 
     std::string serialize() const;
 
-    /**
-     * Parse the text form.
-     * @return false on malformed input (partial results are discarded).
-     */
-    static bool parse(const std::string &text, CcProfile &out);
-
     /** Serialized size in bytes (build-system artifact accounting). */
     uint64_t sizeInBytes() const { return serialize().size(); }
 };
@@ -49,7 +43,6 @@ struct LdProfile
     std::vector<std::string> symbolOrder;
 
     std::string serialize() const;
-    static bool parse(const std::string &text, LdProfile &out);
 
     uint64_t sizeInBytes() const { return serialize().size(); }
 };

@@ -7,8 +7,8 @@
  *
  * Used for the L1 instruction cache, the unified L2 (code accesses only —
  * this simulator models the frontend), and the DSB-style decoded-uop cache
- * (32-byte windows).  Sized like Intel Skylake by default; see
- * UarchConfig in machine.h.
+ * (32-byte windows).  Sized like a scaled-down Intel Skylake; see the
+ * uarch constants in machine.cc.
  */
 
 #include <cstddef>

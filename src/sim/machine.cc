@@ -15,6 +15,50 @@ namespace {
 using isa::Instruction;
 using isa::Opcode;
 
+/**
+ * Microarchitecture parameters.
+ *
+ * Skylake structures scaled down by roughly the same factor (~1/4 to
+ * 1/16) as the synthetic workloads are scaled from the paper's
+ * applications (~1/100 in code size), so cache/TLB pressure relative to
+ * hot-code footprint matches the paper's regime.  Skylake-sized values
+ * are given in the comments.
+ */
+namespace uarch {
+// L1 instruction cache: 8 KiB, 8-way, 64 B lines (Skylake: 32 KiB).
+constexpr uint32_t l1iSets = 16;
+constexpr uint32_t l1iWays = 8;
+// L2 (code side): 256 KiB, 16-way (Skylake: 1 MiB).
+constexpr uint32_t l2Sets = 256;
+constexpr uint32_t l2Ways = 16;
+// iTLB: 48 x 4 KiB entries 4-way (Skylake: 128 x 8-way);
+// 2 x 2 MiB entries (Skylake: 8).
+constexpr uint32_t itlb4kEntries = 48;
+constexpr uint32_t itlb4kWays = 4;
+constexpr uint32_t itlb2mEntries = 2;
+// STLB: 256 entries, 8-way (Skylake: 1536 x 12-way).
+constexpr uint32_t stlbEntries = 256;
+constexpr uint32_t stlbWays = 8;
+// Branch prediction (Skylake: ~4K-entry BTB, TAGE-class predictor).
+constexpr uint32_t ghistBits = 14; ///< log2 of the direction table.
+constexpr uint32_t btbSets = 128;
+constexpr uint32_t btbWays = 4;
+constexpr uint32_t rasDepth = 32;
+// DSB: 32 B windows, 32 sets, 4 ways (Skylake: ~1.5K uops).
+constexpr uint32_t dsbSets = 32;
+constexpr uint32_t dsbWays = 4;
+
+// Timing, in quarter cycles.
+constexpr uint32_t baseQuarterCyclesPerInst = 2; ///< Base CPI of 0.5.
+constexpr uint32_t l2HitPenalty = 40;      ///< L1i miss, L2 hit: 10 cycles.
+constexpr uint32_t memPenalty = 200;       ///< L2 miss: 50 cycles.
+constexpr uint32_t stlbHitPenalty = 28;    ///< iTLB miss, STLB hit.
+constexpr uint32_t walkPenalty = 120;      ///< Page walk: 30 cycles.
+constexpr uint32_t dsbMissPenalty = 4;     ///< Legacy decode path.
+constexpr uint32_t mispredictPenalty = 56; ///< 14 cycles.
+constexpr uint32_t baclearPenalty = 20;    ///< Front-end resteer: 5 cycles.
+} // namespace uarch
+
 /** 32-entry LBR ring buffer. */
 class LbrRing
 {
@@ -88,31 +132,13 @@ execute(const linker::Executable &exe, const MachineOptions &opts,
         return;
     }
 
-    const UarchConfig &uc = opts.uarch;
-    SetAssocCache l1i(uc.l1iSets, uc.l1iWays, 6);
-    SetAssocCache l2(uc.l2Sets, uc.l2Ways, 6);
-    Itlb itlb(uc.itlb4kEntries, uc.itlb4kWays, uc.itlb2mEntries,
-              uc.stlbEntries, uc.stlbWays);
-    BranchPredictor bp(uc.ghistBits, uc.btbSets, uc.btbWays, uc.rasDepth);
-    SetAssocCache dsb(uc.dsbSets, uc.dsbWays, 5);
-    SetAssocCache l1d(uc.l1dSets, uc.l1dWays, 6);
-
-    // Per-load-site occurrence counters drive deterministic, layout-
-    // invariant data address streams: some sites stream through memory
-    // (prefetchable), others are cache-resident.
-    std::vector<uint32_t> site_occurrence(65536, 0);
-    auto siteStride = [](uint16_t site) -> uint64_t {
-        uint64_t r = mix64(site ^ 0xd47aull) & 7;
-        if (r == 0)
-            return 64; // Streaming: a new cache line every access.
-        if (r == 1)
-            return 8; // Strided: a new line every 8 accesses.
-        return 0; // Resident.
-    };
-    auto dataAddress = [&](uint16_t site, uint64_t occ) {
-        return (static_cast<uint64_t>(site) << 24) +
-               siteStride(site) * occ;
-    };
+    using namespace uarch;
+    SetAssocCache l1i(l1iSets, l1iWays, 6);
+    SetAssocCache l2(l2Sets, l2Ways, 6);
+    Itlb itlb(itlb4kEntries, itlb4kWays, itlb2mEntries, stlbEntries,
+              stlbWays);
+    BranchPredictor bp(ghistBits, btbSets, btbWays, rasDepth);
+    SetAssocCache dsb(dsbSets, dsbWays, 5);
 
     LbrRing lbr;
     // Identity of the profiled binary (text content + section layout,
@@ -205,14 +231,12 @@ execute(const linker::Executable &exe, const MachineOptions &opts,
         const uint64_t len = inst.size();
 
         ++ctr.instructions;
-        if (inst.op != Opcode::Nop && !inst.isUncondBranch() &&
-            !inst.isPrefetch()) {
+        if (inst.op != Opcode::Nop && !inst.isUncondBranch())
             ++ctr.logicalInstructions;
-        }
 
         // ---- Frontend model ---------------------------------------------
         if constexpr (kTimed) {
-            ctr.quarterCycles += uc.baseQuarterCyclesPerInst;
+            ctr.quarterCycles += baseQuarterCyclesPerInst;
 
             if (opts.recordHeatMap) {
                 uint64_t ab = offset / heat_addr_div;
@@ -227,18 +251,18 @@ execute(const linker::Executable &exe, const MachineOptions &opts,
             ++ctr.dsbAccesses;
             if (!dsb.access(pc)) {
                 ++ctr.dsbMisses;
-                ctr.quarterCycles += uc.dsbMissPenalty;
+                ctr.quarterCycles += dsbMissPenalty;
             }
 
             if (!l1i.access(pc)) {
                 ++ctr.l1iMisses;
                 if (l2.access(pc)) {
-                    ctr.quarterCycles += uc.l2HitPenalty;
-                    ctr.fetchStallQC += uc.l2HitPenalty;
+                    ctr.quarterCycles += l2HitPenalty;
+                    ctr.fetchStallQC += l2HitPenalty;
                 } else {
                     ++ctr.l2CodeMisses;
-                    ctr.quarterCycles += uc.memPenalty;
-                    ctr.fetchStallQC += uc.memPenalty;
+                    ctr.quarterCycles += memPenalty;
+                    ctr.fetchStallQC += memPenalty;
                 }
             }
             // An instruction straddling a cache line touches the next line
@@ -246,12 +270,12 @@ execute(const linker::Executable &exe, const MachineOptions &opts,
             if ((pc & 63) + len > 64 && !l1i.access(pc + len - 1)) {
                 ++ctr.l1iMisses;
                 if (l2.access(pc + len - 1)) {
-                    ctr.quarterCycles += uc.l2HitPenalty;
-                    ctr.fetchStallQC += uc.l2HitPenalty;
+                    ctr.quarterCycles += l2HitPenalty;
+                    ctr.fetchStallQC += l2HitPenalty;
                 } else {
                     ++ctr.l2CodeMisses;
-                    ctr.quarterCycles += uc.memPenalty;
-                    ctr.fetchStallQC += uc.memPenalty;
+                    ctr.quarterCycles += memPenalty;
+                    ctr.fetchStallQC += memPenalty;
                 }
             }
 
@@ -260,10 +284,10 @@ execute(const linker::Executable &exe, const MachineOptions &opts,
                 ++ctr.itlbMisses;
                 if (tlb.stlbMiss) {
                     ++ctr.itlbStallMisses;
-                    ctr.quarterCycles += uc.walkPenalty;
-                    ctr.fetchStallQC += uc.walkPenalty;
+                    ctr.quarterCycles += walkPenalty;
+                    ctr.fetchStallQC += walkPenalty;
                 } else {
-                    ctr.quarterCycles += uc.stlbHitPenalty;
+                    ctr.quarterCycles += stlbHitPenalty;
                 }
             }
         }
@@ -277,37 +301,9 @@ execute(const linker::Executable &exe, const MachineOptions &opts,
           case Opcode::Nop:
           case Opcode::Alu:
           case Opcode::AluWide:
-            break;
           case Opcode::Load:
-          case Opcode::Store: {
-            if (!kTimed || !opts.modelDataCache)
-                break;
-            uint16_t site = static_cast<uint16_t>(inst.imm);
-            uint64_t occ = site_occurrence[site]++;
-            ++ctr.dcacheAccesses;
-            if (!l1d.access(dataAddress(site, occ))) {
-                ++ctr.dcacheMisses;
-                ctr.quarterCycles += uc.dcacheMissPenalty;
-                ctr.dataStallQC += uc.dcacheMissPenalty;
-                if (opts.collectMissProfile && inst.op == Opcode::Load &&
-                    ctr.dcacheMisses % opts.missSamplePeriod == 0) {
-                    ++result.missProfile.siteMisses[site];
-                    ++result.missProfile.totalSamples;
-                }
-            }
+          case Opcode::Store:
             break;
-          }
-          case Opcode::Prefetch: {
-            ++ctr.prefetchesIssued;
-            if (kTimed && opts.modelDataCache) {
-                // Warm the line the site will touch `reg` accesses from
-                // now; non-blocking, no stall.
-                uint16_t site = static_cast<uint16_t>(inst.imm);
-                l1d.access(dataAddress(
-                    site, site_occurrence[site] + inst.reg));
-            }
-            break;
-          }
           case Opcode::Halt:
             result.halted = true;
             break;
@@ -323,7 +319,7 @@ execute(const linker::Executable &exe, const MachineOptions &opts,
             // Return stack prediction; misses behave like mispredicts.
             if (kTimed && !bp.popReturn(transfer_target)) {
                 ++ctr.mispredicts;
-                ctr.quarterCycles += uc.mispredictPenalty;
+                ctr.quarterCycles += mispredictPenalty;
             }
             break;
           }
@@ -336,7 +332,7 @@ execute(const linker::Executable &exe, const MachineOptions &opts,
                 bp.pushReturn(pc + len);
                 if (!bp.btbAccess(pc)) {
                     ++ctr.baclears;
-                    ctr.quarterCycles += uc.baclearPenalty;
+                    ctr.quarterCycles += baclearPenalty;
                 }
             }
             break;
@@ -348,7 +344,7 @@ execute(const linker::Executable &exe, const MachineOptions &opts,
             taken_transfer = true;
             if (kTimed && !bp.btbAccess(pc)) {
                 ++ctr.baclears;
-                ctr.quarterCycles += uc.baclearPenalty;
+                ctr.quarterCycles += baclearPenalty;
             }
             break;
           }
@@ -371,7 +367,7 @@ execute(const linker::Executable &exe, const MachineOptions &opts,
             if constexpr (kTimed) {
                 if (bp.predictConditional(pc) != taken) {
                     ++ctr.mispredicts;
-                    ctr.quarterCycles += uc.mispredictPenalty;
+                    ctr.quarterCycles += mispredictPenalty;
                 }
                 bp.updateConditional(pc, taken);
             }
@@ -383,7 +379,7 @@ execute(const linker::Executable &exe, const MachineOptions &opts,
                 taken_transfer = true;
                 if (kTimed && !bp.btbAccess(pc)) {
                     ++ctr.baclears;
-                    ctr.quarterCycles += uc.baclearPenalty;
+                    ctr.quarterCycles += baclearPenalty;
                 }
             }
             break;
@@ -425,10 +421,8 @@ run(const linker::Executable &exe, const MachineOptions &opts)
 profile::Profile
 collectProfile(const linker::Executable &exe, const MachineOptions &opts)
 {
-    PROPELLER_CHECK(!opts.recordHeatMap && !opts.modelDataCache &&
-                        !opts.collectMissProfile,
-                    "heat maps and the data side need sim::run's timing "
-                    "model");
+    PROPELLER_CHECK(!opts.recordHeatMap,
+                    "heat maps need sim::run's timing model");
     RunResult result;
     execute<false>(exe, opts, result);
     return std::move(result.profile);

@@ -16,7 +16,10 @@
  *    their cycle counts are directly comparable;
  *  - models L1i / L2 code caches, the two-level iTLB with optional 2 MiB
  *    huge pages, a gshare+BTB+RAS branch predictor and a DSB-style decoded
- *    uop cache, accumulating the exact counter set of the paper's Table 4;
+ *    uop cache, accumulating the exact counter set of the paper's Table 4.
+ *    The model is the frontend only, as in the paper's evaluation: loads
+ *    and stores retire without a data-cache access.  Structure sizes and
+ *    penalties are fixed constants (sim/machine.cc);
  *  - snapshots a 32-entry LBR ring on a sampling period to produce the
  *    hardware profile consumed by Propeller's Phase 3 and by perf2bolt;
  *  - verifies startup code-integrity checks (the mechanism by which
@@ -44,56 +47,6 @@
 
 namespace propeller::sim {
 
-/**
- * Microarchitecture parameters.
- *
- * Defaults are Skylake structures scaled down by roughly the same factor
- * (~1/4 to 1/16) as the synthetic workloads are scaled from the paper's
- * applications (~1/100 in code size), so cache/TLB pressure relative to
- * hot-code footprint matches the paper's regime.  Skylake-sized values are
- * given in the comments.
- */
-struct UarchConfig
-{
-    // L1 instruction cache: 8 KiB, 8-way, 64 B lines (Skylake: 32 KiB).
-    uint32_t l1iSets = 16;
-    uint32_t l1iWays = 8;
-    // L2 (code side): 256 KiB, 16-way (Skylake: 1 MiB).
-    uint32_t l2Sets = 256;
-    uint32_t l2Ways = 16;
-    // iTLB: 48 x 4 KiB entries 4-way (Skylake: 128 x 8-way);
-    // 4 x 2 MiB entries (Skylake: 8).
-    uint32_t itlb4kEntries = 48;
-    uint32_t itlb4kWays = 4;
-    uint32_t itlb2mEntries = 2;
-    // STLB: 256 entries, 8-way (Skylake: 1536 x 12-way).
-    uint32_t stlbEntries = 256;
-    uint32_t stlbWays = 8;
-    // Branch prediction (Skylake: ~4K-entry BTB, TAGE-class predictor).
-    uint32_t ghistBits = 14; ///< log2 of the direction table.
-    uint32_t btbSets = 128;
-    uint32_t btbWays = 4;
-    uint32_t rasDepth = 32;
-    // DSB: 32 B windows, 32 sets, 4 ways (Skylake: ~1.5K uops).
-    uint32_t dsbSets = 32;
-    uint32_t dsbWays = 4;
-    // L1 data cache (only modelled when MachineOptions::modelDataCache is
-    // set; the paper's evaluation is frontend-only): 16 KiB, 8-way.
-    uint32_t l1dSets = 32;
-    uint32_t l1dWays = 8;
-
-    // Timing, in quarter cycles.
-    uint32_t baseQuarterCyclesPerInst = 2; ///< Base CPI of 0.5.
-    uint32_t l2HitPenalty = 40;            ///< L1i miss, L2 hit: 10 cycles.
-    uint32_t memPenalty = 200;             ///< L2 miss: 50 cycles.
-    uint32_t stlbHitPenalty = 28;          ///< iTLB miss, STLB hit.
-    uint32_t walkPenalty = 120;            ///< Page walk: 30 cycles.
-    uint32_t dsbMissPenalty = 4;           ///< Legacy decode path.
-    uint32_t mispredictPenalty = 56;       ///< 14 cycles.
-    uint32_t baclearPenalty = 20;          ///< Front-end resteer: 5 cycles.
-    uint32_t dcacheMissPenalty = 60;       ///< Data miss: 15 cycles.
-};
-
 /** Run options. */
 struct MachineOptions
 {
@@ -108,21 +61,6 @@ struct MachineOptions
     bool recordHeatMap = false;
     uint32_t heatAddrBuckets = 40;
     uint32_t heatTimeBuckets = 64;
-
-    /**
-     * Model the data side (loads/stores access an L1d; Prefetch warms
-     * it).  Off by default: the paper's evaluation is frontend-bound and
-     * the section 3.5 prefetch extension is a separate experiment.
-     */
-    bool modelDataCache = false;
-
-    /** Collect a PEBS-style load-miss profile (needs modelDataCache). */
-    bool collectMissProfile = false;
-
-    /** Record every Nth data-cache miss into the miss profile. */
-    uint32_t missSamplePeriod = 8;
-
-    UarchConfig uarch;
 };
 
 /** Hardware performance counters; labels match the paper's Table 4. */
@@ -150,11 +88,6 @@ struct Counters
     uint64_t dsbMisses = 0;      ///< DSB (uop cache) misses.
     uint64_t dsbAccesses = 0;
 
-    uint64_t dcacheAccesses = 0;
-    uint64_t dcacheMisses = 0;
-    uint64_t prefetchesIssued = 0;
-    uint64_t dataStallQC = 0;   ///< Data-miss stall quarter-cycles.
-
     uint64_t condBranches = 0;
     uint64_t condTaken = 0;   ///< Taken conditional branches.
     uint64_t jumpsRetired = 0;///< Unconditional jumps executed.
@@ -177,9 +110,6 @@ struct RunResult
 
     profile::Profile profile; ///< LBR samples (if collectLbr).
 
-    /** Load-site miss samples (if collectMissProfile). */
-    profile::MissProfile missProfile;
-
     /** Heat map cells [addrBucket][timeBucket] (if recordHeatMap). */
     std::vector<std::vector<uint64_t>> heatMap;
 };
@@ -189,9 +119,8 @@ RunResult run(const linker::Executable &exe, const MachineOptions &opts);
 
 /**
  * Profile @p exe under @p opts without the timing model: the result is
- * byte-identical to `run(exe, opts).profile`.  Heat maps and the data
- * side (modelDataCache, collectMissProfile) need run(); requesting them
- * here is a caller bug and aborts.
+ * byte-identical to `run(exe, opts).profile`.  Heat maps need run();
+ * requesting one here is a caller bug and aborts.
  */
 profile::Profile collectProfile(const linker::Executable &exe,
                                 const MachineOptions &opts);

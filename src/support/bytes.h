@@ -124,17 +124,24 @@ struct ByteReader
     /** Whether every byte up to @p end was read. */
     bool done() const { return p == end; }
 
-    /** One ULEB128 field; false when truncated or wider than 64 bits. */
+    /**
+     * One ULEB128 field in its minimal encoding, the only one
+     * encodeUleb128() writes.  False when truncated, when a zero final
+     * byte pads a continuation byte (0x80 0x00 for zero), or when the
+     * field carries bits past bit 63 (a tenth byte above 0x01).
+     */
     bool
     uleb(uint64_t &out)
     {
         uint64_t v = 0;
         for (unsigned shift = 0; p < end; shift += 7) {
             uint8_t byte = *p++;
-            if (shift >= 64)
+            if (shift == 63 && byte > 1)
                 return false;
             v |= static_cast<uint64_t>(byte & 0x7f) << shift;
             if ((byte & 0x80) == 0) {
+                if (byte == 0 && shift != 0)
+                    return false;
                 out = v;
                 return true;
             }

@@ -6,8 +6,9 @@
  * @file
  * Named benchmark configurations matching paper Table 2, scaled ~100x
  * down in code size (the microarchitecture model is scaled to match; see
- * sim::UarchConfig).  The paper's reported characteristics are attached so
- * bench_table2 can print paper-vs-generated side by side.
+ * the uarch constants in sim/machine.cc).  The paper's reported
+ * characteristics are attached so bench_table2 can print
+ * paper-vs-generated side by side.
  */
 
 namespace propeller::workload {

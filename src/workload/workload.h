@@ -17,8 +17,8 @@
  * with embedded data, and startup code-integrity checks (section 5.8).
  *
  * The microarchitecture the simulator models is scaled by the same factor
- * (see UarchConfig defaults), so the relative effects the paper reports
- * are preserved.
+ * (see the uarch constants in sim/machine.cc), so the relative effects
+ * the paper reports are preserved.
  */
 
 #include <cstdint>

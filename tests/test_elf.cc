@@ -552,6 +552,21 @@ TEST(Serialize, ThirtyTwoBitFieldOverflowRejected)
     }
 }
 
+TEST(Serialize, NonMinimalUlebRejected)
+{
+    // The object's last field, debugRelocs = 0, re-encoded as 0x80 0x00:
+    // the same value in a padded encoding serialize() never writes.
+    // Accepting it would give one object two byte images.
+    std::vector<uint8_t> bytes = sampleObject().serialize();
+    ASSERT_EQ(sampleObject().debugRelocs, 0u);
+    ASSERT_EQ(bytes.back(), 0x00);
+    bytes.back() = 0x80;
+    bytes.push_back(0x00);
+    auto obj = ObjectFile::deserializeChecked(bytes);
+    ASSERT_FALSE(obj.ok());
+    EXPECT_EQ(obj.status().code(), support::ErrorCode::kMalformed);
+}
+
 TEST(ObjectFile, FindSection)
 {
     ObjectFile obj = sampleObject();

@@ -56,10 +56,6 @@ sample(Opcode op)
       case Opcode::Call:
         inst.rel = -(1 << 19);
         break;
-      case Opcode::Prefetch:
-        inst.reg = 4;      // Lookahead.
-        inst.imm = 0xbeef; // Load-site id.
-        break;
       case Opcode::JccShort:
         inst.rel = 127;
         inst.flags = kJccInvert;
@@ -98,13 +94,17 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Opcode::Nop, Opcode::Halt, Opcode::Ret, Opcode::Alu,
                       Opcode::AluWide, Opcode::Load, Opcode::Store,
                       Opcode::JmpShort, Opcode::JmpNear, Opcode::JccShort,
-                      Opcode::JccNear, Opcode::Call, Opcode::Prefetch));
+                      Opcode::JccNear, Opcode::Call));
 
 TEST(IsaDecode, InvalidOpcodeFails)
 {
-    // 0x30..0x3f is in the undefined space used for embedded data.
-    uint8_t data[4] = {0x33, 0x00, 0x00, 0x00};
-    EXPECT_FALSE(decode(data, sizeof(data)).has_value());
+    // 0x30..0x3f is in the undefined space used for embedded data; 0x18
+    // is undefined too.
+    for (uint8_t op : {uint8_t{0x33}, uint8_t{0x18}}) {
+        uint8_t data[4] = {op, 0x00, 0x00, 0x00};
+        EXPECT_FALSE(isValidOpcode(op)) << int{op};
+        EXPECT_FALSE(decode(data, sizeof(data)).has_value()) << int{op};
+    }
 }
 
 TEST(IsaDecode, TruncatedEncodingFails)
@@ -124,8 +124,6 @@ TEST(IsaDecode, EmptyInputFails)
 
 TEST(IsaClassify, ControlFlowPredicates)
 {
-    EXPECT_TRUE(sample(Opcode::Prefetch).isPrefetch());
-    EXPECT_FALSE(sample(Opcode::Prefetch).isControlFlow());
     EXPECT_TRUE(sample(Opcode::JccNear).isCondBranch());
     EXPECT_TRUE(sample(Opcode::JccShort).isCondBranch());
     EXPECT_TRUE(sample(Opcode::JmpNear).isUncondBranch());

@@ -2,12 +2,14 @@
  * @file
  * Unit tests for the machine simulator: functional semantics, determinism,
  * layout invariance, branch bias statistics, microarchitectural component
- * models (caches, iTLB, predictor), LBR collection, heat maps, and the
- * timing-free profiler against the timed run.
+ * models (caches, iTLB, predictor), LBR collection, heat maps, the
+ * timing-free profiler against the timed run, and pinned counters of
+ * the timed run.
  */
 
 #include <gtest/gtest.h>
 
+#include "build/workflow.h"
 #include "codegen/codegen.h"
 #include "linker/linker.h"
 #include "sim/branch_pred.h"
@@ -280,18 +282,92 @@ TEST(Machine, CollectProfileMatchesTimedRun)
               0u);
 }
 
+// ---- Golden counters ------------------------------------------------------
+
+/** Digest of every modelled outcome of one timed run. */
+uint64_t
+runDigest(const RunResult &r)
+{
+    test::Digest d;
+    const Counters &c = r.counters;
+    for (uint64_t v :
+         {c.instructions, c.logicalInstructions, c.quarterCycles,
+          c.l1iMisses, c.l2CodeMisses, c.fetchStallQC, c.itlbMisses,
+          c.itlbStallMisses, c.baclears, c.takenBranches, c.dsbMisses,
+          c.dsbAccesses, c.condBranches, c.condTaken, c.jumpsRetired,
+          c.mispredicts, c.calls, c.returns})
+        d.add(v);
+    d.add(r.startupOk ? 1 : 0);
+    d.add(r.fault ? 1 : 0);
+    d.add(r.faultPc);
+    d.add(r.halted ? 1 : 0);
+    d.add(r.heatMap.size());
+    for (const auto &row : r.heatMap) {
+        d.add(row.size());
+        for (uint64_t v : row)
+            d.add(v);
+    }
+    return d.value();
+}
+
+/**
+ * One digest over sim::run on the baseline and Propeller binaries of
+ * @p cfg under workload::evalOptions, the baseline with the heat map on:
+ * every counter, the startup/fault/halt outcome and the heat map.
+ */
+uint64_t
+goldenRuns(const workload::WorkloadConfig &cfg)
+{
+    buildsys::Workflow wf(cfg);
+    MachineOptions heat = workload::evalOptions(cfg);
+    heat.recordHeatMap = true;
+    RunResult base = run(wf.baseline(), heat);
+    RunResult po = run(wf.propellerBinary(), workload::evalOptions(cfg));
+    // The digest only pins what the runs model: make sure both ran the
+    // whole budget through every frontend structure.
+    for (const RunResult *r : {&base, &po}) {
+        EXPECT_TRUE(r->startupOk && !r->fault);
+        EXPECT_EQ(r->counters.logicalInstructions, cfg.evalInstructions);
+        EXPECT_GT(r->counters.l2CodeMisses, 0u);
+        EXPECT_GT(r->counters.itlbStallMisses, 0u);
+        EXPECT_GT(r->counters.baclears, 0u);
+        EXPECT_GT(r->counters.mispredicts, 0u);
+        EXPECT_GT(r->counters.dsbMisses, 0u);
+    }
+    EXPECT_NE(po.counters.takenBranches, base.counters.takenBranches)
+        << "the relink changed no layout";
+    test::Digest d;
+    d.add(runDigest(base));
+    d.add(runDigest(po));
+    return d.value();
+}
+
+// The LinkGolden apps (tests/test_linker.cc).  A change to the machine
+// loop or its structure sizes that claims no modelled cycle moved must
+// leave these passing.
+TEST(SimGolden, SmallAppWithIntegrityChecks)
+{
+    workload::WorkloadConfig cfg = test::smallConfig(47);
+    cfg.integrityCheckedFunctions = 2;
+    uint64_t got = goldenRuns(cfg);
+    EXPECT_EQ(got, 0xdb966a5ecc5c969aull) << "0x" << hashDigest(got);
+}
+
+TEST(SimGolden, HandAsmApp)
+{
+    workload::WorkloadConfig cfg = test::smallConfig(73);
+    cfg.integrityCheckedFunctions = 1;
+    cfg.handAsmFunctions = 3;
+    uint64_t got = goldenRuns(cfg);
+    EXPECT_EQ(got, 0x9d73b40f2e5b2b2aull) << "0x" << hashDigest(got);
+}
+
 TEST(Machine, CollectProfileRejectsTimingOptions)
 {
     linker::Executable exe = linkTiny();
     MachineOptions heat = smallRun();
     heat.recordHeatMap = true;
     EXPECT_DEATH(collectProfile(exe, heat), "need sim::run");
-    MachineOptions data = smallRun();
-    data.modelDataCache = true;
-    EXPECT_DEATH(collectProfile(exe, data), "need sim::run");
-    MachineOptions misses = smallRun();
-    misses.collectMissProfile = true;
-    EXPECT_DEATH(collectProfile(exe, misses), "need sim::run");
 }
 
 // ---- Component models ----------------------------------------------------

@@ -318,6 +318,40 @@ TEST(Leb128, WiderThan64BitsFails)
     EXPECT_FALSE(in.uleb(v));
 }
 
+TEST(ByteReader, NonMinimalUlebFails)
+{
+    // A zero final byte after a continuation byte pads the field: 0x80
+    // 0x00 spells zero, 0xff 0x80 0x00 spells 127, and nine continuation
+    // bytes then a zero spell zero at full width.  None is what
+    // encodeUleb128() writes, so none is accepted.
+    const std::vector<std::vector<uint8_t>> padded = {
+        {0x80, 0x00},
+        {0xff, 0x80, 0x00},
+        {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},
+    };
+    for (const auto &buf : padded) {
+        ByteReader in(buf);
+        uint64_t v = 7;
+        EXPECT_FALSE(in.uleb(v)) << buf.size();
+        EXPECT_EQ(v, 7u);
+    }
+}
+
+TEST(ByteReader, OverlongUlebFails)
+{
+    // The tenth byte carries bit 63 alone: 0x01 (UINT64_MAX's last byte,
+    // see Leb128Roundtrip) is its largest value, and anything above it
+    // would set bits past bit 63.
+    for (uint8_t last : {uint8_t{0x02}, uint8_t{0x7f}}) {
+        std::vector<uint8_t> wide(9, 0x80);
+        wide.push_back(last);
+        ByteReader in(wide);
+        uint64_t v = 7;
+        EXPECT_FALSE(in.uleb(v)) << int{last};
+        EXPECT_EQ(v, 7u);
+    }
+}
+
 TEST(ByteReader, FieldsRoundTrip)
 {
     // Sized up front: GCC 12 at -O3 misreads the growth path of the
